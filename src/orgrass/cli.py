@@ -6,6 +6,10 @@ output by default, stable machine output with --json (no timings unless
 
 Exit codes: 0 success / all checks pass, 1 verification failure or internal
 inconsistency, 2 usage error, 3 result capped (scan or search stopped early).
+No command ends in a traceback: an unexpected exception prints `error: ...`
+to stderr and exits 1, and so does a reader that closes stdout early (as in
+`orgrass scan ... --values | head -1`), which ends the command without a
+message since its output can no longer be delivered in full.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -120,7 +125,7 @@ def cmd_scan(args) -> int:
 def cmd_betti(args) -> int:
     ctx = GrassmannContext(args.n, args.k)
     with _cached_table(args.k, _cache_dir(args)):
-        rep = GrassmannCohomology(ctx).report(args.strategy)
+        rep = GrassmannCohomology(ctx).report()
     if args.json:
         _dump(rep.to_dict())
     else:
@@ -278,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("betti", parents=[common], help="per-degree Gysin report for G(n,k)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--strategy", choices=("auto", "direct", "mirror"), default="auto")
     p.set_defaults(func=cmd_betti)
 
     p = sub.add_parser("charrank", parents=[common], help="characteristic rank of the oriented canonical bundle")
@@ -307,12 +311,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe must fail here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone; send what is still buffered nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
     except InconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:
         parser.exit(EXIT_USAGE, f"{parser.prog}: error: {exc}\n")
+    except Exception as exc:  # the documented exit code instead of a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -14,21 +14,20 @@ GF(2) linear algebra:
 Row vectors are Python ints used as bitsets, so all arithmetic is exact and
 reproducible bit for bit.
 
-Multiplication by w1 between consecutive quotients drives everything else.
+Multiplication by w1 between consecutive degrees drives everything else.
 Its per-degree kernel and cokernel dimensions are the Betti numbers of the
 oriented double cover (the two-step exactness of the Gysin sequence of the
 covering), the first degree with nonzero kernel determines the
 characteristic rank of the pulled-back canonical bundle, and a class pulls
 back nonzero exactly when it is outside the image of that multiplication.
 
-Large contexts do not eliminate the top half of the degree range directly:
-the report uses dim H^j = dim H^{d-j} together with the matching rank
-identity rank(w1: j) = rank(w1: d-1-j).  Both are exact consequences of
-Poincare duality for the closed manifold (cup product with w1 is
-self-adjoint under the intersection pairing), and the two strategies are
-checked against each other on medium contexts in the test suite.  Requested
-slices are always computed directly; the mirrored shortcut only feeds
-report assembly.
+Those queries (dimensions, w1 ranks, kernels and cokernels, reports,
+pullback tests, the top-degree check) go through the Schubert basis of
+`schubert.py`, which computes every degree directly without an ideal.  The
+presentation above serves the queries that are about the presentation
+itself: slices, coset representatives (`reduce_to_quotient`) and the matrix
+of w1 in the quotient bases (`w1_matrix`).  Being an independent route to
+the same numbers, it is what the tests check the Schubert route against.
 """
 
 from __future__ import annotations
@@ -36,7 +35,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from .duals import dual_table
-from .gf2poly import Exponents, Poly, enumerate_monomials, monomial_count, term_sort_key
+from .gf2poly import (
+    Exponents,
+    Poly,
+    _in_span,
+    _insert_row,
+    enumerate_monomials,
+    monomial_count,
+    term_sort_key,
+)
+from .schubert import SchubertBasis
 
 __all__ = [
     "GrassmannContext",
@@ -45,8 +53,6 @@ __all__ = [
     "GysinRow",
     "GysinReport",
     "REPORT_FORMAT",
-    "DIRECT_ROW_LIMIT",
-    "TOP_SCAN_ROW_LIMIT",
     "degree_slice",
     "ideal_rows",
     "reduce_to_quotient",
@@ -57,11 +63,6 @@ __all__ = [
 ]
 
 REPORT_FORMAT = "orgrass-gysin/1"
-
-# above this many spanning rows in the top degree, reports switch to the
-# duality strategy; the per-monomial top-degree check gets its own bound
-DIRECT_ROW_LIMIT = 600
-TOP_SCAN_ROW_LIMIT = 4000
 
 
 @dataclass(frozen=True)
@@ -87,27 +88,6 @@ class GrassmannContext:
 
     def __str__(self) -> str:
         return f"G({self.n},{self.k})"
-
-
-def _insert_row(pivots: dict[int, int], v: int) -> int | None:
-    """Echelon insertion; returns the new pivot column or None if dependent."""
-    while v:
-        c = (v & -v).bit_length() - 1
-        row = pivots.get(c)
-        if row is None:
-            pivots[c] = v
-            return c
-        v ^= row
-    return None
-
-
-def _in_span(v: int, pivots: dict[int, int]) -> bool:
-    while v:
-        row = pivots.get((v & -v).bit_length() - 1)
-        if row is None:
-            return False
-        v ^= row
-    return True
 
 
 class DegreeSlice:
@@ -168,20 +148,16 @@ class DegreeSlice:
 class GrassmannCohomology:
     """Lazy per-degree engine for one Grassmannian context.
 
-    Slices and multiplication-by-w1 images are cached per degree; a fully
-    populated engine is safe for concurrent reads.
+    `schubert` answers the cohomology queries; presentation slices are built
+    only when asked for.  Both cache per degree; a fully populated engine is
+    safe for concurrent reads.
     """
 
-    def __init__(self, ctx: GrassmannContext, direct_row_limit: int = DIRECT_ROW_LIMIT):
+    def __init__(self, ctx: GrassmannContext):
         self.ctx = ctx
-        self.direct_row_limit = direct_row_limit
-        table = dual_table(ctx.k)
-        table.ensure(ctx.n)
-        self._gen_terms = {
-            m: sorted(table.entry(m).terms, key=term_sort_key) for m in ctx.ideal_degrees
-        }
+        self.schubert = SchubertBasis(ctx.k, ctx.n - ctx.k)
+        self._gen_terms: dict[int, list[Exponents]] | None = None
         self._slices: dict[int, DegreeSlice] = {}
-        self._images: dict[int, dict[int, int]] = {}
 
     # -- slices ----------------------------------------------------------
 
@@ -203,6 +179,12 @@ class GrassmannCohomology:
 
     def _iter_ideal_rows(self, j: int, index: dict[Exponents, int]):
         k = self.ctx.k
+        if self._gen_terms is None:
+            table = dual_table(k)
+            table.ensure(self.ctx.n)
+            self._gen_terms = {
+                m: sorted(table.entry(m).terms, key=term_sort_key) for m in self.ctx.ideal_degrees
+            }
         for m in self.ctx.ideal_degrees:
             r = j - m
             if r < 0:
@@ -220,40 +202,19 @@ class GrassmannCohomology:
 
     # -- multiplication by w1 ---------------------------------------------
 
-    def _image(self, j: int) -> dict[int, int]:
-        """Echelonized image of (.w1): H^{j-1} -> H^j, as reduced vectors."""
-        if j <= 0 or j > self.ctx.d:
-            return {}
-        img = self._images.get(j)
-        if img is not None:
-            return img
-        src = self.slice(j - 1)
-        dst = self.slice(j)
-        img = {}
-        for col in src.picks:
-            m = src.basis[col]
-            t = (m[0] + 1,) + m[1:]
-            v = dst.reduce(1 << dst.index[t])
-            if v:
-                _insert_row(img, v)
-        self._images[j] = img
-        return img
-
     def w1_rank(self, j: int) -> int:
         """Rank of cup product with w1 from degree j to degree j+1."""
-        if j < 0 or j >= self.ctx.d:
-            return 0
-        return len(self._image(j + 1))
+        return self.schubert.w1_rank(j)
 
     def ker_dim(self, j: int) -> int:
         if j < 0 or j > self.ctx.d:
             return 0
-        return self.slice(j).dim_H - self.w1_rank(j)
+        return self.schubert.dim(j) - self.w1_rank(j)
 
     def coker_dim(self, j: int) -> int:
         if j < 0 or j > self.ctx.d:
             return 0
-        return self.slice(j).dim_H - self.w1_rank(j - 1)
+        return self.schubert.dim(j) - self.w1_rank(j - 1)
 
     def betti_cover(self, j: int) -> int:
         """dim H^j of the oriented double cover (Gysin exactness)."""
@@ -332,34 +293,19 @@ class GrassmannCohomology:
             raise ValueError("polynomial is not homogeneous")
         if j > self.ctx.d:
             return False
-        sl = self.slice(j)
-        v = sl.reduce(self._vector_of(p, sl))
-        if not v:
-            return False
-        return not _in_span(v, self._image(j))
+        v = 0
+        for t in p.terms:
+            v ^= self.schubert.expand(t)
+        return bool(v) and not _in_span(v, self.schubert.w1_image(j))
 
-    def top_monomials_die(self, method: str = "auto") -> bool:
+    def top_monomials_die(self) -> bool:
         """Check that every top-degree monomial pulls back to zero.
 
-        "scan" reduces each degree-d monomial and tests it against the image
-        of cup-by-w1; "rank" uses the duality identities
-        rank(w1: d-1) = rank(w1: 0) and dim H^d = dim H^0 instead, which is
-        the only tractable route when the top degree is huge.
+        The monomials span H^d, so they all lie in the image of cup product
+        with w1 exactly when that map onto H^d has rank dim H^d.
         """
         d = self.ctx.d
-        if method == "auto":
-            method = "scan" if self.ideal_row_count(d) <= TOP_SCAN_ROW_LIMIT else "rank"
-        if method == "scan":
-            sl = self.slice(d)
-            img = self._image(d)
-            for c in range(len(sl.basis)):
-                v = sl.reduce(1 << c)
-                if v and not _in_span(v, img):
-                    return False
-            return True
-        if method == "rank":
-            return self.w1_rank(0) == self.slice(0).dim_H
-        raise ValueError(f"unknown method {method!r}")
+        return self.w1_rank(d - 1) == self.schubert.dim(d)
 
     def r_first_nonzero(self) -> int:
         """Smallest positive degree with nonzero cover cohomology, else d+1."""
@@ -370,33 +316,11 @@ class GrassmannCohomology:
 
     # -- report ------------------------------------------------------------
 
-    def report(self, strategy: str = "auto") -> "GysinReport":
+    def report(self) -> "GysinReport":
         ctx = self.ctx
         d = ctx.d
-        if strategy == "auto":
-            strategy = "direct" if self.ideal_row_count(d) <= self.direct_row_limit else "mirror"
-        if strategy not in ("direct", "mirror"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-
-        dims = [0] * (d + 1)
-        ranks = [0] * (d + 1)  # ranks[d] stays 0: H^{d+1} vanishes
-        if strategy == "direct":
-            for j in range(d + 1):
-                dims[j] = self.slice(j).dim_H
-            for j in range(d):
-                ranks[j] = self.w1_rank(j)
-        else:
-            half_dim = d // 2
-            for j in range(half_dim + 1):
-                dims[j] = self.slice(j).dim_H
-            for j in range(half_dim + 1, d + 1):
-                dims[j] = dims[d - j]
-            half_rank = (d - 1) // 2
-            for j in range(half_rank + 1):
-                ranks[j] = self.w1_rank(j)
-            for j in range(half_rank + 1, d):
-                ranks[j] = ranks[d - 1 - j]
-
+        dims = [self.schubert.dim(j) for j in range(d + 1)]
+        ranks = [self.w1_rank(j) for j in range(d + 1)]  # ranks[d] is 0: H^{d+1} vanishes
         rows = []
         r_first = d + 1
         for j in range(d + 1):
@@ -406,7 +330,7 @@ class GrassmannCohomology:
             rows.append(GysinRow(j, dims[j], ranks[j], ker, coker, cover))
             if j > 0 and cover > 0 and r_first > d:
                 r_first = j
-        return GysinReport(ctx, tuple(rows), r_first, strategy)
+        return GysinReport(ctx, tuple(rows), r_first)
 
 
 @dataclass(frozen=True)
@@ -428,7 +352,6 @@ class GysinReport:
     context: GrassmannContext
     rows: tuple[GysinRow, ...]
     r_first_nonzero: int
-    strategy: str
 
     @property
     def total_dim_base(self) -> int:
@@ -444,7 +367,7 @@ class GysinReport:
             "n": self.context.n,
             "k": self.context.k,
             "d": self.context.d,
-            "strategy": self.strategy,
+            "strategy": "direct",  # every degree is computed; kept for the format
             "r_first_nonzero": self.r_first_nonzero,
             "total_dim_base": self.total_dim_base,
             "total_dim_cover": self.total_dim_cover,
@@ -469,7 +392,7 @@ class GysinReport:
         head = (
             f"{ctx}: d={ctx.d}, total dim H*(G)={self.total_dim_base}, "
             f"total dim H*(G~)={self.total_dim_cover}, "
-            f"r(G~)={self.r_first_nonzero}, strategy={self.strategy}"
+            f"r(G~)={self.r_first_nonzero}"
         )
         lines = [head, "   j  dim H^j(G)  rank(.w1)    ker  coker  dim H^j(G~)"]
         for r in self.rows:
@@ -516,12 +439,8 @@ def w1_operator(
     return (engine or GrassmannCohomology(ctx)).w1_matrix(j)
 
 
-def gysin_report(
-    ctx: GrassmannContext,
-    strategy: str = "auto",
-    engine: GrassmannCohomology | None = None,
-) -> GysinReport:
-    return (engine or GrassmannCohomology(ctx)).report(strategy)
+def gysin_report(ctx: GrassmannContext, engine: GrassmannCohomology | None = None) -> GysinReport:
+    return (engine or GrassmannCohomology(ctx)).report()
 
 
 def pstar_nonzero(
@@ -530,9 +449,5 @@ def pstar_nonzero(
     return (engine or GrassmannCohomology(ctx)).pstar_nonzero(p)
 
 
-def top_monomials_die(
-    ctx: GrassmannContext,
-    method: str = "auto",
-    engine: GrassmannCohomology | None = None,
-) -> bool:
-    return (engine or GrassmannCohomology(ctx)).top_monomials_die(method)
+def top_monomials_die(ctx: GrassmannContext, engine: GrassmannCohomology | None = None) -> bool:
+    return (engine or GrassmannCohomology(ctx)).top_monomials_die()

@@ -270,6 +270,31 @@ def monomial_count(k: int, degree: int) -> int:
     return counts[degree]
 
 
+def _insert_row(pivots: dict[int, int], v: int) -> int | None:
+    """Echelon insertion; returns the new pivot column or None if dependent.
+
+    `pivots` maps each pivot column to a bitset row whose lowest set bit is
+    that column.
+    """
+    while v:
+        c = (v & -v).bit_length() - 1
+        row = pivots.get(c)
+        if row is None:
+            pivots[c] = v
+            return c
+        v ^= row
+    return None
+
+
+def _in_span(v: int, pivots: dict[int, int]) -> bool:
+    while v:
+        row = pivots.get((v & -v).bit_length() - 1)
+        if row is None:
+            return False
+        v ^= row
+    return True
+
+
 def parse_poly(k: int, text: str) -> Poly:
     """Parse the canonical rendering back into a polynomial.
 

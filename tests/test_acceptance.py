@@ -96,7 +96,7 @@ def test_08_gysin_structure():
     started = time.perf_counter()
     rows = suite_gysin()
     # independent Schubert-cell oracle on every degree of a spread of
-    # contexts, including mirrored ones
+    # contexts
     for n, k in [(6, 3), (7, 3), (12, 3), (40, 3), (64, 3), (16, 4), (32, 4), (13, 5), (24, 5)]:
         ctx = GrassmannContext(n, k)
         rep = GrassmannCohomology(ctx).report()

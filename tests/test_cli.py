@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import orgrass
+import orgrass.cli
 from orgrass.cli import main
 
 
@@ -104,6 +109,12 @@ def test_betti_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_betti_strategy_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--n", "8", "--k", "3", "--strategy", "direct"])
+    assert exc.value.code == 2
+
+
 def test_charrank_command(capsys):
     code, out, _ = run(capsys, "charrank", "--n", "8", "--k", "3")
     assert code == 0
@@ -166,6 +177,34 @@ def test_verify_json_stable_without_timing(capsys):
 def test_verify_charrank_tmax(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "charrank", "--t-max", "3")
     assert code == 0
+
+
+def test_unexpected_error_exits_without_traceback(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(orgrass.cli, "scan_vanishing", broken)
+    code, out, err = run(capsys, "scan", "--k", "3", "--kill", "1", "--lo", "2", "--hi", "10")
+    assert code == 1
+    assert err == "error: RuntimeError: boom\n"
+
+
+def test_closed_stdout_exits_without_traceback():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orgrass.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["scan", "--k", "3", "--kill", "1", "--lo", "2", "--hi", "3000", "--values"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orgrass.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    first = proc.stdout.readline()  # about 1 MB follows, far more than a pipe holds
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert first.startswith(b"reductions of the dual classes")
+    assert err == b""
 
 
 def test_version(capsys):

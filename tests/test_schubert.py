@@ -1,0 +1,133 @@
+"""The Schubert route against the presentation route, and mutations it must catch.
+
+The presentation side uses only slices, `reduce_to_quotient` and
+`w1_matrix`, which never touch `orgrass.schubert`.
+"""
+
+from itertools import product
+
+import pytest
+
+from orgrass import GrassmannCohomology, GrassmannContext, Poly, enumerate_monomials, schubert
+from orgrass.suites import full_grid, suite_charrank, suite_cup, suite_gysin, suite_topdie
+
+
+def _echelon(rows):
+    pivots = {}
+    for v in rows:
+        while v:
+            c = (v & -v).bit_length() - 1
+            if c not in pivots:
+                pivots[c] = v
+                break
+            v ^= pivots[c]
+    return pivots
+
+
+def _in_span(v, pivots):
+    while v:
+        c = (v & -v).bit_length() - 1
+        if c not in pivots:
+            return False
+        v ^= pivots[c]
+    return True
+
+
+def _bits(coords):
+    return sum(bit << i for i, bit in enumerate(coords))
+
+
+def _presentation_pullbacks(engine, j):
+    """Each degree-j monomial with its pullback test by the presentation route:
+    a nonzero coset outside the row span of the w1 matrix into degree j."""
+    img = _echelon(engine.w1_matrix(j - 1)) if j else {}
+    for e in enumerate_monomials(engine.ctx.k, j):
+        v = _bits(engine.reduce_to_quotient(Poly.monomial(engine.ctx.k, e)))
+        yield e, bool(v) and not _in_span(v, img)
+
+
+def _pullback_mismatches(contexts):
+    """(mismatches, nonzero pullbacks) over every monomial of every degree."""
+    mismatches = nonzero = 0
+    for n, k in contexts:
+        engine = GrassmannCohomology(GrassmannContext(n, k))
+        for j in range(engine.ctx.d + 1):
+            for e, want in _presentation_pullbacks(engine, j):
+                mismatches += engine.pstar_nonzero(Poly.monomial(k, e)) != want
+                nonzero += want
+    return mismatches, nonzero
+
+
+PULLBACK_CONTEXTS = [(8, 3), (10, 3), (12, 4), (11, 5)]
+
+
+@pytest.mark.parametrize("n,k", [(10, 3), (13, 3), (12, 4), (16, 4), (11, 5)])
+def test_report_matches_presentation(n, k):
+    ctx = GrassmannContext(n, k)
+    engine = GrassmannCohomology(ctx)
+    rep = engine.report()
+    for row in rep.rows:
+        assert row.dim_base == engine.schubert.dim(row.j) == engine.slice(row.j).dim_H
+        want = len(_echelon(engine.w1_matrix(row.j))) if row.j < ctx.d else 0
+        assert row.w1_rank == want
+
+
+def test_pullback_matches_presentation_on_every_monomial():
+    mismatches, nonzero = _pullback_mismatches(PULLBACK_CONTEXTS)
+    assert mismatches == 0
+    assert nonzero > 0
+
+
+def test_top_monomials_die_matches_presentation_scan():
+    contexts = [(n, k) for n, k in full_grid() if k * (n - k) <= 30]
+    assert len(contexts) == 14
+    for n, k in contexts:
+        engine = GrassmannCohomology(GrassmannContext(n, k))
+        scan = not any(want for _, want in _presentation_pullbacks(engine, engine.ctx.d))
+        assert engine.top_monomials_die() == scan == True
+
+
+def test_expansion_is_iterative_on_deep_monomials():
+    # a degree far beyond the default recursion limit, in a box that holds it
+    engine = GrassmannCohomology(GrassmannContext(2400, 1))
+    assert engine.pstar_nonzero(Poly.one(1))
+    assert not engine.pstar_nonzero(Poly.variable(1, 1) ** 2000)
+
+
+def _horizontal_strips(lam, i, cols):
+    """mu/lam a horizontal strip: the Pieri rule of the row classes sigma(i)."""
+    caps = [cols - lam[0]] + [lam[r - 1] - lam[r] for r in range(1, len(lam))]
+    return [
+        tuple(p + a for p, a in zip(lam, adds))
+        for adds in product(*(range(c + 1) for c in caps))
+        if sum(adds) == i
+    ]
+
+
+def test_wrong_pieri_convention_is_caught(monkeypatch):
+    # w_i = sigma(i) agrees with w_i = sigma(1^i) on most monomials, so only
+    # the exhaustive comparison sees it
+    monkeypatch.setattr(schubert, "_vertical_strips", _horizontal_strips)
+    mismatches, _ = _pullback_mismatches(PULLBACK_CONTEXTS)
+    assert mismatches > 0
+
+
+def _drop_last_row_box(monkeypatch):
+    monk = schubert._monk
+    monkeypatch.setattr(
+        schubert, "_monk", lambda lam, cols: [mu for mu in monk(lam, cols) if mu[-1] == lam[-1]]
+    )
+
+
+def test_wrong_monk_rule_fails_suite_rows(monkeypatch):
+    _drop_last_row_box(monkeypatch)
+    rows = suite_charrank(n_max=8) + suite_gysin(n_max=8) + suite_topdie(n_max=8)
+    assert any(not r.ok for r in rows)
+
+
+def test_cup_exact_row_reports_inconsistency_as_failure(monkeypatch):
+    _drop_last_row_box(monkeypatch)
+    rows = suite_cup(ts=(3,), n_max3=8, n_max4=8)
+    exact = rows[0]
+    assert exact.name == "cup/G~(8,3) exact"
+    assert not exact.ok and "InconsistencyError" in exact.detail
