@@ -38,7 +38,6 @@ from .duals import dual_table
 from .gf2poly import (
     Exponents,
     Poly,
-    _in_span,
     _insert_row,
     enumerate_monomials,
     monomial_count,
@@ -296,7 +295,7 @@ class GrassmannCohomology:
         v = 0
         for t in p.terms:
             v ^= self.schubert.expand(t)
-        return bool(v) and not _in_span(v, self.schubert.w1_image(j))
+        return bool(v) and not self.schubert.in_image(v, j)
 
     def top_monomials_die(self) -> bool:
         """Check that every top-degree monomial pulls back to zero.

@@ -286,15 +286,6 @@ def _insert_row(pivots: dict[int, int], v: int) -> int | None:
     return None
 
 
-def _in_span(v: int, pivots: dict[int, int]) -> bool:
-    while v:
-        row = pivots.get((v & -v).bit_length() - 1)
-        if row is None:
-            return False
-        v ^= row
-    return True
-
-
 def parse_poly(k: int, text: str) -> Poly:
     """Parse the canonical rendering back into a polynomial.
 

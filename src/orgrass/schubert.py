@@ -11,74 +11,70 @@ most one box in each row).  For w1 this is Monk's rule: add one box in
 every possible way.  (Monk, Proc. London Math. Soc. 1959; Fulton, Young
 Tableaux, section 9.4.)
 
-Every degree is computed directly; there is no ideal to eliminate.  dim H^j
-is the number of partitions of j in the box, the matrix of cup product with
-w1 has one Monk row per partition with at most k nonzero entries, and a
-monomial in the w_i expands by one Pieri product per factor.
+A cell is the 01-word of lam (Fulton, 9.4): an n-bit int whose k ones sit
+at positions lam_{k-r} + r, so its degree is the sum of the positions minus
+k(k-1)/2.  Adding a box moves a one up into a free bit, so the Monk targets
+of w are w + b for each one b of w with a free bit above it, and a vertical
+strip of i boxes adds a sum of i ones.  The cells of degree j are level j of
+a spanning tree of Young's lattice (the parent of a cell drops the last box
+of its last nonzero row); above the middle degree the tree runs on the n-k
+complementary ones.  A class of degree j is an int bitset over the ascending
+`cells(j)`, built per degree on first use.
 
-A class of degree j is an int bitset over `partitions(j)`.  Tables are built
-per degree on first use, so a scan of the low degrees never touches the
-middle of the box.
+The w1 rank of a degree reduces its Monk rows on their highest bits: a cell
+whose top one can move (lam_1 < n-k) leads with its own target, so it is a
+pivot without elimination, and only the cells with lam_1 = n-k, which sort
+last, are reduced.  Ranks are cached as ints; an echelon is kept only for the
+degrees that `in_image` is asked about.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .gf2poly import Exponents, _insert_row, monomial_degree
+from .gf2poly import Exponents, monomial_degree
 
 __all__ = ["SchubertBasis"]
 
-Partition = tuple[int, ...]
 
-
-def _box_partitions(j: int, rows: int, cols: int) -> list[Partition]:
-    """Partitions of j in the rows x cols box as `rows`-tuples, in ascending
-    lexicographic order (which keeps the Monk rows sparse under elimination)."""
-    out: list[Partition] = []
-    lam = [0] * rows
-
-    def fill(r: int, remaining: int, cap: int) -> None:
-        if r == rows - 1 or not remaining:
-            if remaining <= cap:
-                lam[r] = remaining
-                out.append(tuple(lam))
-                lam[r] = 0
-            return
-        for part in range(-(-remaining // (rows - r)), min(remaining, cap) + 1):
-            lam[r] = part
-            fill(r + 1, remaining - part, part)
-        lam[r] = 0
-
-    if 0 <= j <= rows * cols:
-        fill(0, j, cols)
-    return out
-
-
-def _monk(lam: Partition, cols: int) -> list[Partition]:
-    """The mu in the box with one box more than lam."""
+def _monk(w: int, n: int) -> list[int]:
+    """The cells with one box more than the n-bit cell w."""
     out = []
-    prev = cols
-    for r, part in enumerate(lam):
-        if part < prev:
-            out.append(lam[:r] + (part + 1,) + lam[r + 1 :])
-            if not part:
-                break
-        prev = part
+    free_above = w & ~(w >> 1) & ((1 << (n - 1)) - 1)
+    while free_above:
+        low = free_above & -free_above
+        out.append(w + low)
+        free_above ^= low
     return out
 
 
-def _vertical_strips(lam: Partition, i: int, cols: int) -> list[Partition]:
-    """The mu in the box with mu/lam a vertical strip of i boxes."""
+def _vertical_strips(w: int, i: int, n: int) -> list[int]:
+    """The cells mu with mu/w a vertical strip of i boxes."""
     if i == 1:
-        return _monk(lam, cols)
+        return _monk(w, n)
+    ones = [1 << p for p in range(n - 1) if w >> p & 1]
     out = []
-    for added in combinations(range(len(lam)), i):
-        mu = list(lam)
-        for r in added:
-            mu[r] += 1
-        if mu[0] <= cols and all(mu[r - 1] >= mu[r] for r in added if r):
-            out.append(tuple(mu))
+    for moved in combinations(ones, i):
+        t = sum(moved)
+        if not (w ^ t) & (t << 1):
+            out.append(w + t)
+    return out
+
+
+def _tree_level(words, n: int) -> list[int]:
+    """The next level of the spanning tree: a child starts a new row (the top
+    one of the trailing run moves into the lowest zero) or adds a box to the
+    last nonzero row (the lowest displaced one moves up into a free bit)."""
+    top = 1 << (n - 1)
+    out = []
+    for w in words:
+        zero = ~w & (w + 1)
+        if 1 < zero <= top:
+            out.append(w + (zero >> 1))
+        displaced = w & -zero
+        low = displaced & -displaced
+        if low and low < top and not w & (low << 1):
+            out.append(w + low)
     return out
 
 
@@ -88,60 +84,98 @@ class SchubertBasis:
     def __init__(self, rows: int, cols: int):
         self.rows = rows
         self.cols = cols
+        self.n = rows + cols
         self.top = rows * cols
-        self._parts: dict[int, tuple[Partition, ...]] = {}
-        self._index: dict[int, dict[Partition, int]] = {}
-        self._images: dict[int, dict[int, int]] = {}
+        self._cells: dict[int, tuple[int, ...]] = {
+            0: ((1 << rows) - 1,),
+            self.top: (((1 << rows) - 1) << cols,),
+        }
+        self._index: dict[int, dict[int, int]] = {}
+        self._ranks: dict[int, int] = {}
+        self._echelons: dict[int, dict[int, int]] = {}
         self._expansions: dict[Exponents, int] = {(0,) * rows: 1}
 
-    def partitions(self, j: int) -> tuple[Partition, ...]:
-        parts = self._parts.get(j)
-        if parts is None:
-            parts = tuple(_box_partitions(j, self.rows, self.cols))
-            self._index[j] = {lam: c for c, lam in enumerate(parts)}
-            self._parts[j] = parts  # last, so a reader that finds it finds the index too
-        return parts
+    def cells(self, j: int) -> tuple[int, ...]:
+        """The degree-j cells as n-bit words, ascending."""
+        if not 0 <= j <= self.top:
+            return ()
+        cached = self._cells
+        if j in cached:
+            return cached[j]
+        # walk towards the root of the tree: degree 0, or the top degree on
+        # the complementary words
+        step, flip = (-1, 0) if 2 * j <= self.top else (1, (1 << self.n) - 1)
+        chain = []
+        while j not in cached:
+            chain.append(j)
+            j += step
+        for j in reversed(chain):
+            level = _tree_level([w ^ flip for w in cached[j + step]], self.n)
+            cached[j] = tuple(sorted(w ^ flip for w in level))
+        return cached[j]
 
-    def _index_of(self, j: int) -> dict[Partition, int]:
-        self.partitions(j)
-        return self._index[j]
+    def _index_of(self, j: int) -> dict[int, int]:
+        index = self._index.get(j)
+        if index is None:
+            cells = self.cells(j)
+            index = self._index[j] = dict(zip(cells, range(len(cells))))
+        return index
 
     def dim(self, j: int) -> int:
-        return len(self.partitions(j))
+        return len(self.cells(j))
 
     def times_w(self, v: int, j: int, i: int) -> int:
         """The degree-j class v times w_i, a class of degree j+i."""
         if not v or j + i > self.top:
             return 0
-        parts = self.partitions(j)
+        cells = self.cells(j)
         index = self._index_of(j + i)
-        cols = self.cols
+        n = self.n
         out = 0
         while v:
             low = v & -v
-            for mu in _vertical_strips(parts[low.bit_length() - 1], i, cols):
+            for mu in _vertical_strips(cells[low.bit_length() - 1], i, n):
                 out ^= 1 << index[mu]
             v ^= low
         return out
 
-    def w1_image(self, j: int) -> dict[int, int]:
-        """Echelonized image of cup product with w1 from degree j-1 to degree j."""
-        img = self._images.get(j)
-        if img is None:
-            img = {}
-            if 0 < j <= self.top:
-                index = self._index_of(j)
-                for lam in self.partitions(j - 1):
-                    v = 0
-                    for mu in _monk(lam, self.cols):
-                        v |= 1 << index[mu]
-                    _insert_row(img, v)
-            self._images[j] = img
-        return img
+    def _image_echelon(self, j: int) -> dict[int, int]:
+        """Echelon of the image of cup product with w1 from degree j-1 to
+        degree j, keyed by the bit length of each row's highest bit."""
+        index = self._index_of(j)
+        n, monk = self.n, _monk
+        pivots: dict[int, int] = {}
+        for w in self.cells(j - 1):
+            v = 0
+            for mu in monk(w, n):
+                v |= 1 << index[mu]
+            b = v.bit_length()
+            while b in pivots:
+                v ^= pivots[b]
+                b = v.bit_length()
+            if v:
+                pivots[b] = v
+        return pivots
 
     def w1_rank(self, j: int) -> int:
         """Rank of cup product with w1 from degree j to degree j+1."""
-        return len(self.w1_image(j + 1)) if 0 <= j < self.top else 0
+        if not 0 <= j < self.top:
+            return 0
+        rank = self._ranks.get(j)
+        if rank is None:
+            rank = self._ranks[j] = len(self._echelons.get(j + 1) or self._image_echelon(j + 1))
+        return rank
+
+    def in_image(self, v: int, j: int) -> bool:
+        """Is the degree-j class v a multiple of w1?"""
+        if not 0 < j <= self.top:
+            return not v
+        pivots = self._echelons.get(j)
+        if pivots is None:
+            pivots = self._echelons[j] = self._image_echelon(j)
+        while v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        return not v
 
     def expand(self, e: Exponents) -> int:
         """The monomial prod w_i^e_i as a class of degree sum i*e_i.

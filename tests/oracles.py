@@ -51,6 +51,51 @@ def partitions_in_box(j: int, rows: int, cols: int) -> int:
     return _box_count(j, rows, cols)
 
 
+def box_partitions_by_degree(rows: int, cols: int) -> list[list[tuple[int, ...]]]:
+    """The partitions in the rows x cols box as `rows`-tuples, by degree."""
+    by_degree: list[list[tuple[int, ...]]] = [[] for _ in range(rows * cols + 1)]
+
+    def fill(prefix: tuple[int, ...], cap: int) -> None:
+        if len(prefix) == rows:
+            by_degree[sum(prefix)].append(prefix)
+            return
+        for part in range(cap + 1):
+            fill(prefix + (part,), part)
+
+    fill((), cols)
+    return by_degree
+
+
+def monk_ranks(rows: int, cols: int) -> list[int]:
+    """Rank over GF(2) of Monk's rule from degree j to j+1, for every j.
+
+    Row lam of the matrix has a 1 at every partition mu in the box obtained
+    by adding one box to lam; the rank is taken by plain elimination on
+    the lowest set bit.
+    """
+    by_degree = box_partitions_by_degree(rows, cols)
+    ranks = []
+    for j, parts in enumerate(by_degree):
+        if j == rows * cols:
+            ranks.append(0)
+            break
+        column = {mu: c for c, mu in enumerate(by_degree[j + 1])}
+        pivots: dict[int, int] = {}
+        for lam in parts:
+            v = 0
+            for r in range(rows):
+                if lam[r] < (cols if r == 0 else lam[r - 1]):
+                    v |= 1 << column[lam[:r] + (lam[r] + 1,) + lam[r + 1 :]]
+            while v:
+                low = v & -v
+                if low not in pivots:
+                    pivots[low] = v
+                    break
+                v ^= pivots[low]
+        ranks.append(len(pivots))
+    return ranks
+
+
 def truncated_geometric_inverse(k: int, degree: int) -> Poly:
     """Degree-`degree` component of 1 + W + W^2 + ... with W = w1 + ... + wk.
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from orgrass import (
@@ -10,6 +12,7 @@ from orgrass import (
     cup_upper,
     verify_charrank_row,
 )
+from orgrass import rank_cup, suites
 
 
 def test_prediction_case_table():
@@ -144,3 +147,19 @@ def test_cup_upper_runs_clean_on_sample_grid():
         assert rep.upper >= 1
         if rep.closed_form is not None:
             assert rep.upper_from_prediction == rep.closed_form.value
+
+
+def test_suite_charrank_scans_each_context_once(monkeypatch):
+    calls = Counter()
+
+    def counting(ctx, *args, **kwargs):
+        calls[ctx.n, ctx.k] += 1
+        return charrank_oriented(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "charrank_oriented", counting)
+    monkeypatch.setattr(rank_cup, "charrank_oriented", counting)
+    rows = suites.suite_charrank(n_max=12)
+    assert any(r.name.startswith("charrank/sweep") for r in rows)
+    assert all(r.ok for r in rows)
+    assert len(calls) == len(rows)
+    assert set(calls.values()) == {1}

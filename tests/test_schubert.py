@@ -1,14 +1,18 @@
-"""The Schubert route against the presentation route, and mutations it must catch.
+"""The Schubert route against the presentation route and first-principles
+oracles, and mutations it must catch.
 
 The presentation side uses only slices, `reduce_to_quotient` and
-`w1_matrix`, which never touch `orgrass.schubert`.
+`w1_matrix`, which never touch `orgrass.schubert`; neither does
+`oracles.monk_ranks`.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
+from oracles import box_partitions_by_degree, monk_ranks
 from orgrass import GrassmannCohomology, GrassmannContext, Poly, enumerate_monomials, schubert
+from orgrass.schubert import SchubertBasis
 from orgrass.suites import full_grid, suite_charrank, suite_cup, suite_gysin, suite_topdie
 
 
@@ -72,6 +76,28 @@ def test_report_matches_presentation(n, k):
         assert row.w1_rank == want
 
 
+@pytest.mark.parametrize("rows,cols", [(5, 19), (6, 14), (3, 45)])
+def test_ranks_match_monk_oracle_beyond_presentation(rows, cols):
+    basis = SchubertBasis(rows, cols)
+    degrees = range(rows * cols + 1)
+    assert [basis.dim(j) for j in degrees] == [
+        len(parts) for parts in box_partitions_by_degree(rows, cols)
+    ]
+    assert [basis.w1_rank(j) for j in degrees] == monk_ranks(rows, cols)
+
+
+def test_cells_match_bruteforce_words():
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            n = rows + cols
+            want = [[] for _ in range(rows * cols + 1)]
+            for ones in combinations(range(n), rows):
+                want[sum(ones) - rows * (rows - 1) // 2].append(sum(1 << p for p in ones))
+            basis = SchubertBasis(rows, cols)
+            got = [basis.cells(j) for j in range(rows * cols + 1)]
+            assert got == [tuple(sorted(words)) for words in want], (rows, cols)
+
+
 def test_pullback_matches_presentation_on_every_monomial():
     mismatches, nonzero = _pullback_mismatches(PULLBACK_CONTEXTS)
     assert mismatches == 0
@@ -104,18 +130,33 @@ def _horizontal_strips(lam, i, cols):
     ]
 
 
+def _partition(w):
+    """The partition of an n-bit cell: the one at position p_r gives a part p_r - r."""
+    ones = [p for p in range(w.bit_length()) if w >> p & 1]
+    return tuple(p - r for r, p in reversed(list(enumerate(ones))))
+
+
+def _word(lam):
+    return sum(1 << (part + len(lam) - 1 - r) for r, part in enumerate(lam))
+
+
 def test_wrong_pieri_convention_is_caught(monkeypatch):
     # w_i = sigma(i) agrees with w_i = sigma(1^i) on most monomials, so only
     # the exhaustive comparison sees it
-    monkeypatch.setattr(schubert, "_vertical_strips", _horizontal_strips)
+    def horizontal(w, i, n):
+        lam = _partition(w)
+        return [_word(mu) for mu in _horizontal_strips(lam, i, n - len(lam))]
+
+    monkeypatch.setattr(schubert, "_vertical_strips", horizontal)
     mismatches, _ = _pullback_mismatches(PULLBACK_CONTEXTS)
     assert mismatches > 0
 
 
 def _drop_last_row_box(monkeypatch):
+    # the last row's one is the word's lowest bit
     monk = schubert._monk
     monkeypatch.setattr(
-        schubert, "_monk", lambda lam, cols: [mu for mu in monk(lam, cols) if mu[-1] == lam[-1]]
+        schubert, "_monk", lambda w, n: [mu for mu in monk(w, n) if mu & -mu == w & -w]
     )
 
 
