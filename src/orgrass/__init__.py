@@ -13,13 +13,7 @@ from .cohomology import (
     GrassmannContext,
     GysinReport,
     GysinRow,
-    degree_slice,
-    gysin_report,
     ideal_rows,
-    pstar_nonzero,
-    reduce_to_quotient,
-    top_monomials_die,
-    w1_operator,
 )
 from .duals import (
     DualTable,
@@ -30,7 +24,6 @@ from .duals import (
     reduced_dual_class,
     reduced_dual_classes,
     scan_vanishing,
-    verify_iterated_recurrence,
     verify_iterated_recurrence_batch,
 )
 from .gf2poly import (
@@ -40,7 +33,6 @@ from .gf2poly import (
     monomial_count,
     monomial_degree,
     parse_poly,
-    reduce_mod_vars,
 )
 from .rank_cup import (
     CharrankResult,
@@ -55,7 +47,6 @@ from .rank_cup import (
     cup_lower_sw,
     cup_report,
     cup_upper,
-    verify_charrank_row,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +59,6 @@ __all__ = [
     "monomial_count",
     "monomial_degree",
     "parse_poly",
-    "reduce_mod_vars",
     "DualTable",
     "ReductionScan",
     "dual_class",
@@ -77,20 +67,13 @@ __all__ = [
     "reduced_dual_class",
     "reduced_dual_classes",
     "scan_vanishing",
-    "verify_iterated_recurrence",
     "verify_iterated_recurrence_batch",
     "DegreeSlice",
     "GrassmannCohomology",
     "GrassmannContext",
     "GysinReport",
     "GysinRow",
-    "degree_slice",
-    "gysin_report",
     "ideal_rows",
-    "pstar_nonzero",
-    "reduce_to_quotient",
-    "top_monomials_die",
-    "w1_operator",
     "CharrankResult",
     "ClosedForm",
     "CupBoundReport",
@@ -103,5 +86,4 @@ __all__ = [
     "cup_lower_sw",
     "cup_report",
     "cup_upper",
-    "verify_charrank_row",
 ]

@@ -15,7 +15,6 @@ message since its output can no longer be delivered in full.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -59,22 +58,12 @@ def _parse_kill(text: str, k: int) -> set[int]:
     return kill
 
 
-def _cache_dir(args) -> str:
-    return args.cache_dir or default_cache_dir()
-
-
-@contextlib.contextmanager
-def _cached_table(k: int, cache_dir: str):
-    """Load the disk table first; persist afterwards if memory outgrew it."""
-    disk_max = load_cache(k, cache_dir)
-    yield
-    if dual_table(k).computed_up_to > disk_max:
-        save_cache(k, cache_dir)
-
-
 def cmd_dual(args) -> int:
-    with _cached_table(args.k, _cache_dir(args)):
-        poly = dual_class(args.k, args.i)
+    cache_dir = args.cache_dir or default_cache_dir()
+    disk_max = load_cache(args.k, cache_dir)
+    poly = dual_class(args.k, args.i)
+    if dual_table(args.k).computed_up_to > disk_max:
+        save_cache(args.k, cache_dir)
     if args.json:
         _dump({"format": "orgrass-poly/1", "k": args.k, "i": args.i, "poly": str(poly)})
     else:
@@ -124,8 +113,7 @@ def cmd_scan(args) -> int:
 
 def cmd_betti(args) -> int:
     ctx = GrassmannContext(args.n, args.k)
-    with _cached_table(args.k, _cache_dir(args)):
-        rep = GrassmannCohomology(ctx).report()
+    rep = GrassmannCohomology(ctx).report()
     if args.json:
         _dump(rep.to_dict())
     else:
@@ -135,8 +123,7 @@ def cmd_betti(args) -> int:
 
 def cmd_charrank(args) -> int:
     ctx = GrassmannContext(args.n, args.k)
-    with _cached_table(args.k, _cache_dir(args)):
-        res = charrank_oriented(ctx, cap=args.cap)
+    res = charrank_oriented(ctx, cap=args.cap)
     if args.json:
         _dump(
             {
@@ -171,8 +158,7 @@ def cmd_charrank(args) -> int:
 
 def cmd_cup(args) -> int:
     ctx = GrassmannContext(args.n, args.k)
-    with _cached_table(args.k, _cache_dir(args)):
-        rep = cup_report(ctx, budget=args.budget)
+    rep = cup_report(ctx, budget=args.budget)
     if args.json:
         payload = {
             "format": "orgrass-cup/1",
@@ -258,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache-dir", default=None, help=f"cache directory (default: ${CACHE_ENV} or a per-user default)")
+    common.add_argument("--cache-dir", default=None, help=f"dual-class cache directory, used by dual only (default: ${CACHE_ENV} or a per-user default)")
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("-v", "--verbose", action="store_true", help="progress to stderr")
 

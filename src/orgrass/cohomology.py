@@ -52,13 +52,7 @@ __all__ = [
     "GysinRow",
     "GysinReport",
     "REPORT_FORMAT",
-    "degree_slice",
     "ideal_rows",
-    "reduce_to_quotient",
-    "w1_operator",
-    "gysin_report",
-    "pstar_nonzero",
-    "top_monomials_die",
 ]
 
 REPORT_FORMAT = "orgrass-gysin/1"
@@ -402,14 +396,7 @@ class GysinReport:
         return "\n".join(lines)
 
 
-# -- module-level operation wrappers --------------------------------------
-
-
-def degree_slice(
-    ctx: GrassmannContext, j: int, engine: GrassmannCohomology | None = None
-) -> DegreeSlice:
-    """The degree-j slice: basis, echelonized ideal, quotient picks."""
-    return (engine or GrassmannCohomology(ctx)).slice(j)
+# -- raw ideal rows ---------------------------------------------------------
 
 
 def ideal_rows(
@@ -421,32 +408,3 @@ def ideal_rows(
         raise ValueError(f"degree {j} outside 0..{ctx.d}")
     index = {m: c for c, m in enumerate(enumerate_monomials(ctx.k, j))}
     return list(engine._iter_ideal_rows(j, index))
-
-
-def reduce_to_quotient(
-    ctx: GrassmannContext,
-    p: Poly,
-    degree: int | None = None,
-    engine: GrassmannCohomology | None = None,
-) -> tuple[int, ...]:
-    return (engine or GrassmannCohomology(ctx)).reduce_to_quotient(p, degree)
-
-
-def w1_operator(
-    ctx: GrassmannContext, j: int, engine: GrassmannCohomology | None = None
-) -> list[int]:
-    return (engine or GrassmannCohomology(ctx)).w1_matrix(j)
-
-
-def gysin_report(ctx: GrassmannContext, engine: GrassmannCohomology | None = None) -> GysinReport:
-    return (engine or GrassmannCohomology(ctx)).report()
-
-
-def pstar_nonzero(
-    ctx: GrassmannContext, p: Poly, engine: GrassmannCohomology | None = None
-) -> bool:
-    return (engine or GrassmannCohomology(ctx)).pstar_nonzero(p)
-
-
-def top_monomials_die(ctx: GrassmannContext, engine: GrassmannCohomology | None = None) -> bool:
-    return (engine or GrassmannCohomology(ctx)).top_monomials_die()

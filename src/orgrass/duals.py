@@ -19,7 +19,7 @@ Iterating the recurrence s times through the Frobenius gives
     g_i = w2^(2^s)*g_{i-2*2^s} + ... + wk^(2^s)*g_{i-k*2^s}
 
 for the mod-w1 reductions g, valid whenever i >= 1 + k*2^s;
-`verify_iterated_recurrence` recomputes both sides independently.
+`verify_iterated_recurrence_batch` recomputes both sides independently.
 
 Full dual classes are memoized in a `DualTable`, which can be persisted to a
 cache directory as a small versioned text file (one canonical rendering per
@@ -46,7 +46,6 @@ __all__ = [
     "reduced_dual_class",
     "reduced_dual_classes",
     "scan_vanishing",
-    "verify_iterated_recurrence",
     "verify_iterated_recurrence_batch",
     "CACHE_ENV",
     "CACHE_FORMAT",
@@ -297,15 +296,13 @@ def scan_vanishing(
     )
 
 
-def verify_iterated_recurrence(k: int, i: int, s: int) -> bool:
-    """Check g_i == sum over m of wm^(2^s) * g_{i - m*2^s} (m = 2..k)."""
-    return verify_iterated_recurrence_batch([(k, i, s)])[0]
-
-
 def verify_iterated_recurrence_batch(
     cases: Sequence[tuple[int, int, int]]
 ) -> list[bool]:
-    """Check many (k, i, s) instances with one streaming pass per k."""
+    """Check g_i == sum over m of wm^(2^s) * g_{i - m*2^s} (m = 2..k).
+
+    Many (k, i, s) instances share one streaming pass per k.
+    """
     results: list[bool | None] = [None] * len(cases)
     by_k: dict[int, list[int]] = {}
     for idx, (k, i, s) in enumerate(cases):
@@ -381,7 +378,7 @@ class _DirLock:
                 return self
             except FileExistsError:
                 try:
-                    if time.monotonic() - os.path.getmtime(self.path) > _LOCK_STALE_SECONDS:
+                    if time.time() - os.path.getmtime(self.path) > _LOCK_STALE_SECONDS:
                         os.unlink(self.path)
                         continue
                 except OSError:

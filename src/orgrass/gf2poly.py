@@ -26,7 +26,6 @@ __all__ = [
     "term_sort_key",
     "enumerate_monomials",
     "monomial_count",
-    "reduce_mod_vars",
     "parse_poly",
 ]
 
@@ -174,10 +173,6 @@ class Poly:
         return bool(self.terms)
 
     @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({monomial_degree(t) for t in self.terms}))
-
-    @property
     def homogeneous_degree(self) -> int | None:
         """The common degree of all terms, or None (zero or mixed)."""
         degs = {monomial_degree(t) for t in self.terms}
@@ -218,11 +213,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.k}, {str(self)!r})"
-
-
-def reduce_mod_vars(p: Poly, kill: Iterable[int]) -> Poly:
-    """Module-level alias for `Poly.reduce_mod_vars`."""
-    return p.reduce_mod_vars(kill)
 
 
 def enumerate_monomials(k: int, degree: int) -> list[Exponents]:

@@ -8,8 +8,8 @@ straight kernel scan.
 
 `charrank_prediction` is the known case table for k = 3 and k = 4 (exact
 values at n = 2^t - i for small i, lower bounds otherwise) and the general
-lower bound n-k+1 for k >= 5; `verify_charrank_row` compares a scan against
-it.
+lower bound n-k+1 for k >= 5; `CharrankResult.agrees` compares a scan
+against it.
 
 The cup-length bound is 1 + floor((d - j - 1) / r), where j is any degree
 up to the characteristic rank such that all top-dimensional monomials in
@@ -39,7 +39,6 @@ __all__ = [
     "InconsistencyError",
     "charrank_prediction",
     "charrank_oriented",
-    "verify_charrank_row",
     "cup_closed_form",
     "cup_upper",
     "cup_lower_sw",
@@ -165,20 +164,6 @@ def charrank_oriented(
     )
 
 
-def verify_charrank_row(
-    n: int, k: int, engine: GrassmannCohomology | None = None
-) -> bool:
-    """Full scan vs the case table: equality on exact rows, >= on bound rows."""
-    pred = charrank_prediction(n, k)
-    res = charrank_oriented(GrassmannContext(n, k), engine=engine)
-    if not res.exact:
-        return False
-    assert pred.value is not None
-    if pred.kind == "exact":
-        return res.value == pred.value
-    return res.value >= pred.value
-
-
 # -- cup-length ------------------------------------------------------------
 
 
@@ -256,11 +241,10 @@ class CupBoundReport:
 def cup_upper(
     ctx: GrassmannContext,
     engine: GrassmannCohomology | None = None,
-    charrank_result: CharrankResult | None = None,
 ) -> CupBoundReport:
     """Upper bound 1 + floor((d - j - 1)/r) with the vanishing hypothesis checked."""
     engine = engine or GrassmannCohomology(ctx)
-    cr = charrank_result or charrank_oriented(ctx, engine=engine)
+    cr = charrank_oriented(ctx, engine=engine)
     pred = cr.prediction
     if cr.exact:
         j_used, j_source = cr.value, "scan"

@@ -46,6 +46,13 @@ def test_dual_writes_cache(capsys, tmp_path):
     assert out.strip() == "w1^4 + w1^2*w2 + w2^2"
 
 
+def test_report_commands_never_touch_cache(capsys, tmp_path):
+    for command in ("betti", "charrank", "cup"):
+        code, _, _ = run(capsys, command, "--n", "8", "--k", "3")
+        assert code == 0
+    assert not (tmp_path / "cache").exists()
+
+
 def test_g_command(capsys):
     code, out, _ = run(capsys, "g", "--k", "4", "--i", "5")
     assert code == 0

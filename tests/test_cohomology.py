@@ -6,15 +6,9 @@ from orgrass import (
     GrassmannCohomology,
     GrassmannContext,
     Poly,
-    degree_slice,
     dual_class,
     g,
-    gysin_report,
     ideal_rows,
-    pstar_nonzero,
-    reduce_to_quotient,
-    top_monomials_die,
-    w1_operator,
 )
 
 from oracles import partitions_in_box
@@ -78,11 +72,11 @@ def test_slice_out_of_range():
 
 
 def test_reduce_to_quotient_examples():
-    ctx = GrassmannContext(6, 3)
-    assert reduce_to_quotient(ctx, dual_class(3, 4)) == (0, 0, 0)
-    assert any(reduce_to_quotient(ctx, Poly.parse(3, "w1^4")))
-    ctx8 = GrassmannContext(8, 3)
-    assert any(reduce_to_quotient(ctx8, Poly.variable(3, 2) ** 4))
+    engine = GrassmannCohomology(GrassmannContext(6, 3))
+    assert engine.reduce_to_quotient(dual_class(3, 4)) == (0, 0, 0)
+    assert any(engine.reduce_to_quotient(Poly.parse(3, "w1^4")))
+    engine8 = GrassmannCohomology(GrassmannContext(8, 3))
+    assert any(engine8.reduce_to_quotient(Poly.variable(3, 2) ** 4))
 
 
 def test_reduce_to_quotient_input_validation():
@@ -112,8 +106,7 @@ def test_quotient_coords_linear_and_canonical():
 
 
 def test_w1_operator_rank_examples():
-    ctx = GrassmannContext(6, 3)
-    assert _bit_rank(w1_operator(ctx, 0)) == 1
+    assert _bit_rank(GrassmannCohomology(GrassmannContext(6, 3)).w1_matrix(0)) == 1
     engine = GrassmannCohomology(GrassmannContext(7, 3))
     assert engine.ker_dim(4) == 1
     # the operator matrix and the cached image agree on rank
@@ -121,9 +114,9 @@ def test_w1_operator_rank_examples():
 
 
 def test_w1_operator_out_of_range():
-    ctx = GrassmannContext(6, 3)
+    engine = GrassmannCohomology(GrassmannContext(6, 3))
     with pytest.raises(ValueError):
-        w1_operator(ctx, 9)
+        engine.w1_matrix(9)
 
 
 def test_w1_kernel_vanishes_below_first_relation():
@@ -134,7 +127,7 @@ def test_w1_kernel_vanishes_below_first_relation():
 
 
 def test_gysin_report_G63():
-    rep = gysin_report(GrassmannContext(6, 3))
+    rep = GrassmannCohomology(GrassmannContext(6, 3)).report()
     assert rep.total_dim_base == 20
     assert rep.r_first_nonzero == 2
     d = 9
@@ -160,13 +153,13 @@ def test_cover_betti_of_classical_spaces():
 
 
 def test_gysin_report_G83_cover_duality():
-    rep = gysin_report(GrassmannContext(8, 3))
+    rep = GrassmannCohomology(GrassmannContext(8, 3)).report()
     covers = [r.dim_cover for r in rep.rows]
     assert all(covers[j] == covers[15 - j] for j in range(16))
 
 
 def test_report_json_shape():
-    rep = gysin_report(GrassmannContext(6, 3))
+    rep = GrassmannCohomology(GrassmannContext(6, 3)).report()
     payload = rep.to_dict()
     assert payload["format"] == "orgrass-gysin/1"
     assert payload["total_dim_base"] == 20
@@ -197,7 +190,7 @@ def test_pstar_kernel_is_w1_image():
 
 def test_top_monomials_die_small():
     for n, k in [(6, 3), (7, 3), (8, 4)]:
-        assert top_monomials_die(GrassmannContext(n, k))
+        assert GrassmannCohomology(GrassmannContext(n, k)).top_monomials_die()
 
 
 def test_kernel_criterion_matches_reduction():
@@ -221,9 +214,3 @@ def test_ideal_membership_bruteforce_G63():
             seen.add(cur)
         assert len(seen) == 1 << sl.ideal_rank
         assert all(sl.reduce(v) == 0 for v in seen)
-
-
-def test_degree_slice_wrapper():
-    sl = degree_slice(GrassmannContext(6, 3), 4)
-    assert sl.dim_H == 3
-    assert pstar_nonzero(GrassmannContext(8, 3), Poly.variable(3, 2) ** 4)

@@ -1,4 +1,5 @@
 import os
+import time
 
 import pytest
 
@@ -8,11 +9,9 @@ from orgrass import (
     Poly,
     dual_class,
     g,
-    reduce_mod_vars,
     reduced_dual_class,
     reduced_dual_classes,
     scan_vanishing,
-    verify_iterated_recurrence,
     verify_iterated_recurrence_batch,
 )
 
@@ -59,7 +58,7 @@ def test_truncation_to_fewer_variables():
     for k, r in ((4, 3), (5, 3), (5, 4)):
         kill = set(range(r + 1, k + 1))
         for i in range(0, 61):
-            reduced = reduce_mod_vars(dual_class(k, i), kill)
+            reduced = dual_class(k, i).reduce_mod_vars(kill)
             assert reduced == _embed(dual_class(r, i), k)
 
 
@@ -81,7 +80,7 @@ def test_g_point_values():
 def test_g_matches_reduction_of_full_class():
     for k in (3, 4, 5):
         for i in range(0, 61):
-            assert g(k, i) == reduce_mod_vars(dual_class(k, i), {1})
+            assert g(k, i) == dual_class(k, i).reduce_mod_vars({1})
 
 
 def test_reduced_class_with_empty_kill_is_full_class():
@@ -114,15 +113,15 @@ def test_scan_validates_range_and_kill():
 
 
 def test_dual_class_mod_w1_vanishes_only_at_pow2_minus_3():
-    assert not reduce_mod_vars(dual_class(3, 8), {1}).is_zero
-    assert reduce_mod_vars(dual_class(3, 13), {1}).is_zero
+    assert not dual_class(3, 8).reduce_mod_vars({1}).is_zero
+    assert dual_class(3, 13).reduce_mod_vars({1}).is_zero
 
 
 def test_z12_from_the_two_generator_combination():
     g10 = g(4, 10)
     g12 = g(4, 12)
     combo = Poly.variable(4, 2) * g10 + g12
-    assert reduce_mod_vars(combo, {2, 3}) == Poly.parse(4, "w4^3")
+    assert combo.reduce_mod_vars({2, 3}) == Poly.parse(4, "w4^3")
 
 
 def test_z_closed_form_small_t():
@@ -149,20 +148,18 @@ def test_h_two_term_recursion():
 
 
 def test_iterated_recurrence_examples():
-    assert verify_iterated_recurrence(3, 13, 1)
-    assert verify_iterated_recurrence(3, 7, 0)
-    assert verify_iterated_recurrence(4, 29, 2)
+    assert verify_iterated_recurrence_batch([(3, 13, 1), (3, 7, 0), (4, 29, 2)]) == [True] * 3
 
 
 def test_iterated_recurrence_precondition():
     with pytest.raises(ValueError, match="1 \\+ k\\*2\\^s = 7"):
-        verify_iterated_recurrence(3, 6, 1)
+        verify_iterated_recurrence_batch([(3, 6, 1)])
 
 
 def test_iterated_recurrence_batch_matches_single():
     cases = [(3, 13, 1), (4, 29, 2), (5, 50, 1), (3, 100, 3)]
     assert verify_iterated_recurrence_batch(cases) == [
-        verify_iterated_recurrence(*case) for case in cases
+        verify_iterated_recurrence_batch([case])[0] for case in cases
     ]
 
 
@@ -212,3 +209,13 @@ def test_cache_save_load_files(tmp_path, monkeypatch):
 def test_cache_default_dir_env(monkeypatch, tmp_path):
     monkeypatch.setenv(duals.CACHE_ENV, str(tmp_path / "subdir"))
     assert duals.default_cache_dir() == str(tmp_path / "subdir")
+
+
+def test_stale_lock_is_broken(tmp_path):
+    lock = tmp_path / ".lock"
+    lock.write_text("0")
+    hour_ago = time.time() - 3600
+    os.utime(lock, (hour_ago, hour_ago))
+    with duals._DirLock(str(tmp_path), timeout=0.5):
+        assert lock.read_text() == str(os.getpid())
+    assert not lock.exists()

@@ -9,7 +9,6 @@ from orgrass import (
     monomial_count,
     monomial_degree,
     parse_poly,
-    reduce_mod_vars,
 )
 from orgrass import gf2poly
 
@@ -69,14 +68,14 @@ def test_negative_exponent_rejected():
 
 
 def test_reduce_mod_vars_examples():
-    assert reduce_mod_vars(Poly.parse(K, "w1^3 + w3"), {1}) == W3
-    assert reduce_mod_vars(Poly.parse(K, "w1^2 + w2"), {1}) == W2
-    assert reduce_mod_vars(W1, {1}).is_zero
+    assert Poly.parse(K, "w1^3 + w3").reduce_mod_vars({1}) == W3
+    assert Poly.parse(K, "w1^2 + w2").reduce_mod_vars({1}) == W2
+    assert W1.reduce_mod_vars({1}).is_zero
 
 
 def test_reduce_mod_vars_validates_kill_set():
     with pytest.raises(ValueError):
-        reduce_mod_vars(W1, {4})
+        W1.reduce_mod_vars({4})
 
 
 def test_reduce_mod_vars_composes_as_union():

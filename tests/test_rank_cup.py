@@ -10,7 +10,6 @@ from orgrass import (
     cup_lower_sw,
     cup_report,
     cup_upper,
-    verify_charrank_row,
 )
 from orgrass import rank_cup, suites
 
@@ -74,11 +73,10 @@ def test_charrank_capped_scan():
 
 
 def test_verify_rows():
-    assert verify_charrank_row(8, 3)
-    assert verify_charrank_row(13, 3)
-    assert charrank_oriented(GrassmannContext(13, 3)).value == 11
-    assert verify_charrank_row(15, 4)
-    assert charrank_oriented(GrassmannContext(15, 4)).value == 11
+    for n, k, value in [(8, 3, 6), (13, 3, 11), (15, 4, 11)]:
+        res = charrank_oriented(GrassmannContext(n, k))
+        assert res.exact and res.agrees is True
+        assert res.value == value
 
 
 def test_cup_closed_forms():
