@@ -21,16 +21,7 @@ import sys
 
 from . import __version__
 from .cohomology import GrassmannCohomology, GrassmannContext
-from .duals import (
-    CACHE_ENV,
-    default_cache_dir,
-    dual_class,
-    dual_table,
-    load_cache,
-    reduced_dual_class,
-    save_cache,
-    scan_vanishing,
-)
+from .duals import dual_class, reduced_dual_class, scan_vanishing
 from .rank_cup import (
     InconsistencyError,
     charrank_oriented,
@@ -59,11 +50,7 @@ def _parse_kill(text: str, k: int) -> set[int]:
 
 
 def cmd_dual(args) -> int:
-    cache_dir = args.cache_dir or default_cache_dir()
-    disk_max = load_cache(args.k, cache_dir)
     poly = dual_class(args.k, args.i)
-    if dual_table(args.k).computed_up_to > disk_max:
-        save_cache(args.k, cache_dir)
     if args.json:
         _dump({"format": "orgrass-poly/1", "k": args.k, "i": args.i, "poly": str(poly)})
     else:
@@ -196,22 +183,29 @@ def cmd_cup(args) -> int:
 
 def cmd_verify(args) -> int:
     kwargs = {}
-    if args.suite == "vanishing" and args.hi is not None:
+    if args.hi is not None:
+        if args.suite != "vanishing":
+            raise ValueError("--hi applies to --suite vanishing only")
         kwargs = {
             "hi3": args.hi,
             "hi4": min(args.hi, 512),
             "hi5": min(args.hi, 512),
             "hi6": min(args.hi, 128),
         }
-    if args.suite in ("charrank", "gysin", "topdie") and args.t_max is not None:
-        kwargs = {"n_max": 1 << args.t_max}
-    if args.suite == "cup" and args.t_max is not None:
-        kwargs = {
-            "ts": tuple(t for t in (3, 4, 5) if t <= args.t_max),
-            "n_max3": min(32, 1 << args.t_max),
-            "n_max4": min(32, 1 << args.t_max),
-        }
+    if args.t_max is not None:
+        if args.suite in ("charrank", "gysin", "topdie"):
+            kwargs = {"n_max": 1 << args.t_max}
+        elif args.suite == "cup":
+            kwargs = {
+                "ts": tuple(t for t in (3, 4, 5) if t <= args.t_max),
+                "n_max3": min(32, 1 << args.t_max),
+                "n_max4": min(32, 1 << args.t_max),
+            }
+        else:
+            raise ValueError("--t-max applies to --suite charrank, gysin, topdie or cup only")
     rows = SUITES[args.suite](**kwargs)
+    if not rows:  # a check that selects nothing cannot fail, so it is no pass
+        raise ValueError(f"--suite {args.suite} selects no rows within these bounds")
     ok = all(r.ok for r in rows)
     if args.json:
         payload = {
@@ -244,9 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cache-dir", default=None, help=f"dual-class cache directory, used by dual only (default: ${CACHE_ENV} or a per-user default)")
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("-v", "--verbose", action="store_true", help="progress to stderr")
 
     p = sub.add_parser("dual", parents=[common], help="one dual class of the canonical bundle")
     p.add_argument("--k", type=int, required=True)
@@ -264,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=int, required=True)
     p.add_argument("--hi", type=int, required=True)
     p.add_argument("--values", action="store_true", help="also print every reduced polynomial")
+    p.add_argument("-v", "--verbose", action="store_true", help="progress to stderr")
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("betti", parents=[common], help="per-degree Gysin report for G(n,k)")

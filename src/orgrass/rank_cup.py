@@ -217,8 +217,8 @@ class SwLowerBound:
 class CupBoundReport:
     """Cup-length bounds for the oriented cover.
 
-    `upper` uses the best available characteristic rank (`j_used`, with
-    `j_source` saying where it came from); `upper_from_prediction` redoes
+    `upper` uses the characteristic rank of an uncapped scan (`j_used`;
+    `j_source` is always "scan"); `upper_from_prediction` redoes
     the bound with the case-table rank and must match `closed_form`.
     `exact` is set when the search closes the gap or the case table states
     an exact value (`exact_source` distinguishes the two).
@@ -246,12 +246,7 @@ def cup_upper(
     engine = engine or GrassmannCohomology(ctx)
     cr = charrank_oriented(ctx, engine=engine)
     pred = cr.prediction
-    if cr.exact:
-        j_used, j_source = cr.value, "scan"
-    else:
-        j_used, j_source = cr.value, "scan-capped"
-        if pred.kind in ("exact", "lower_bound") and pred.value > j_used:
-            j_used, j_source = pred.value, "prediction"
+    j_used, j_source = cr.value, "scan"  # uncapped, so exact: ker_dim(d) = 1
     if not engine.top_monomials_die():
         raise InconsistencyError(
             f"{ctx}: a top-degree monomial class survives the pullback; "
@@ -334,6 +329,8 @@ def cup_lower_sw(
     `budget` caps the number of pullback tests; when it runs out the best
     value found so far is returned flagged as capped.
     """
+    if budget is not None and budget < 0:
+        raise ValueError("budget must be non-negative")
     engine = engine or GrassmannCohomology(ctx)
     d, k = ctx.d, ctx.k
     tested = 0

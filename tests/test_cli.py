@@ -32,25 +32,25 @@ def test_dual_command(capsys):
     assert out.strip() == "w1"
 
 
-def test_dual_writes_cache(capsys, tmp_path):
-    cache = tmp_path / "explicit"
-    code, out, _ = run(capsys, "dual", "--k", "3", "--i", "6", "--cache-dir", str(cache))
-    assert code == 0
-    path = cache / "dual_k3.txt"
-    assert path.exists()
-    first = path.read_text().splitlines()[0]
-    assert first == "orgrass-duals/1"
-    # second run reuses the file without error
-    code, out, _ = run(capsys, "dual", "--k", "3", "--i", "4", "--cache-dir", str(cache))
-    assert code == 0
-    assert out.strip() == "w1^4 + w1^2*w2 + w2^2"
-
-
 def test_report_commands_never_touch_cache(capsys, tmp_path):
-    for command in ("betti", "charrank", "cup"):
-        code, _, _ = run(capsys, command, "--n", "8", "--k", "3")
+    code, out, _ = run(capsys, "dual", "--k", "3", "--i", "6")
+    assert code == 0
+    assert out.strip() == "w1^6 + w1^4*w2 + w2^3 + w3^2"
+    for argv in (
+        ("g", "--k", "3", "--i", "6"),
+        ("scan", "--k", "3", "--kill", "1", "--lo", "2", "--hi", "20"),
+        *((command, "--n", "8", "--k", "3") for command in ("betti", "charrank", "cup")),
+    ):
+        code, _, _ = run(capsys, *argv)
         assert code == 0
     assert not (tmp_path / "cache").exists()
+
+
+def test_cache_dir_is_usage_error(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["dual", "--k", "3", "--i", "3", "--cache-dir", str(tmp_path / "explicit")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "explicit").exists()
 
 
 def test_g_command(capsys):
@@ -160,6 +160,16 @@ def test_cup_json(capsys):
     assert payload["exact_source"] == "case_table"
 
 
+def test_cup_negative_budget_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["cup", "--n", "8", "--k", "3", "--budget", "-1"])
+    assert exc.value.code == 2
+    assert "budget must be non-negative" in capsys.readouterr().err
+    code, out, _ = run(capsys, "cup", "--n", "8", "--k", "3", "--budget", "0")
+    assert code == 3
+    assert "[search capped]" in out
+
+
 def test_verify_small_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "points")
     assert code == 0
@@ -184,6 +194,47 @@ def test_verify_json_stable_without_timing(capsys):
 def test_verify_charrank_tmax(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "charrank", "--t-max", "3")
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "charrank", "--t-max", "0"),
+        ("--suite", "cup", "--t-max", "2"),
+        ("--suite", "gysin", "--t-max", "2"),
+    ],
+)
+def test_verify_empty_selection_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert "selects no rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "all", "--t-max", "3"),
+        ("--suite", "points", "--t-max", "3"),
+        ("--suite", "oracle", "--t-max", "3"),
+        ("--suite", "points", "--hi", "64"),
+        ("--suite", "charrank", "--hi", "64"),
+    ],
+)
+def test_verify_unread_bound_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verbose_only_on_scan(capsys):
+    code, _, err = run(capsys, "scan", "--k", "3", "--kill", "1", "--lo", "2", "--hi", "300", "-v")
+    assert code == 0
+    assert "scanned through degree 256" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", "--n", "6", "--k", "3", "-v"])
+    assert exc.value.code == 2
 
 
 def test_unexpected_error_exits_without_traceback(capsys, monkeypatch):
