@@ -2,9 +2,11 @@
 
 The package computes, exactly over GF(2): dual Stiefel-Whitney classes of
 the canonical bundle and their variable-killing reductions, per-degree
-cohomology of G(n,k) from the polynomial presentation, Betti numbers of the
+cohomology of G(n,k) from its Schubert basis (with the polynomial
+presentation as an independent second route), Betti numbers of the
 oriented double cover through the Gysin sequence, the characteristic rank
 of the pulled-back canonical bundle, and cup-length bounds for the cover.
+The last two take the `GrassmannCohomology` engine they compute with.
 """
 
 from .cohomology import (

@@ -110,7 +110,7 @@ def cmd_betti(args) -> int:
 
 def cmd_charrank(args) -> int:
     ctx = GrassmannContext(args.n, args.k)
-    res = charrank_oriented(ctx, cap=args.cap)
+    res = charrank_oriented(GrassmannCohomology(ctx), cap=args.cap)
     if args.json:
         _dump(
             {
@@ -145,7 +145,7 @@ def cmd_charrank(args) -> int:
 
 def cmd_cup(args) -> int:
     ctx = GrassmannContext(args.n, args.k)
-    rep = cup_report(ctx, budget=args.budget)
+    rep = cup_report(GrassmannCohomology(ctx), budget=args.budget)
     if args.json:
         payload = {
             "format": "orgrass-cup/1",
@@ -186,6 +186,8 @@ def cmd_verify(args) -> int:
     if args.hi is not None:
         if args.suite != "vanishing":
             raise ValueError("--hi applies to --suite vanishing only")
+        if args.hi < 2:
+            raise ValueError(f"--hi must be at least 2, got {args.hi}")
         kwargs = {
             "hi3": args.hi,
             "hi4": min(args.hi, 512),
@@ -193,6 +195,8 @@ def cmd_verify(args) -> int:
             "hi6": min(args.hi, 128),
         }
     if args.t_max is not None:
+        if args.t_max < 0:
+            raise ValueError(f"--t-max must be non-negative, got {args.t_max}")
         if args.suite in ("charrank", "gysin", "topdie"):
             kwargs = {"n_max": 1 << args.t_max}
         elif args.suite == "cup":

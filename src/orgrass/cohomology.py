@@ -403,7 +403,10 @@ def ideal_rows(
     ctx: GrassmannContext, j: int, engine: GrassmannCohomology | None = None
 ) -> list[int]:
     """Spanning rows of the degree-j ideal slice, pre-echelon, in generation order."""
-    engine = engine or GrassmannCohomology(ctx)
+    if engine is None:
+        engine = GrassmannCohomology(ctx)
+    elif engine.ctx != ctx:
+        raise ValueError(f"engine is for {engine.ctx}, not {ctx}")
     if not 0 <= j <= ctx.d:
         raise ValueError(f"degree {j} outside 0..{ctx.d}")
     index = {m: c for c, m in enumerate(enumerate_monomials(ctx.k, j))}

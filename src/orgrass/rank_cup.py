@@ -22,6 +22,12 @@ must reproduce it, and a mismatch raises `InconsistencyError`.
 The cup-length lower bound searches monomials in w2..wk only: w1 pulls
 back to zero, so a w1-free monomial that survives the pullback is a product
 of positive-degree classes witnessing its factor count.
+
+`charrank_oriented`, `cup_upper`, `cup_lower_sw` and `cup_report` take the
+`GrassmannCohomology` engine they compute with and read the context from
+`engine.ctx`, so a result can only be labelled with the Grassmannian its
+numbers come from.  Build one engine per context and pass it to each call
+that should share its cached ranks.
 """
 
 from __future__ import annotations
@@ -124,18 +130,14 @@ def _agreement(value: int, exact: bool, pred: Prediction) -> bool | None:
     return False if exact else None
 
 
-def charrank_oriented(
-    ctx: GrassmannContext,
-    cap: int | None = None,
-    engine: GrassmannCohomology | None = None,
-) -> CharrankResult:
+def charrank_oriented(engine: GrassmannCohomology, cap: int | None = None) -> CharrankResult:
     """Scan cup-by-w1 kernels upward; charrank is one less than the first hit.
 
     With a cap the scan stops at degree `cap` and reports "at least cap"
     when no kernel appeared.  Uncapped scans always terminate: the kernel in
     the top degree contains the fundamental class.
     """
-    engine = engine or GrassmannCohomology(ctx)
+    ctx = engine.ctx
     d = ctx.d
     limit = d if cap is None else min(cap, d)
     if limit < 0:
@@ -238,13 +240,10 @@ class CupBoundReport:
     exact_source: str | None
 
 
-def cup_upper(
-    ctx: GrassmannContext,
-    engine: GrassmannCohomology | None = None,
-) -> CupBoundReport:
+def cup_upper(engine: GrassmannCohomology) -> CupBoundReport:
     """Upper bound 1 + floor((d - j - 1)/r) with the vanishing hypothesis checked."""
-    engine = engine or GrassmannCohomology(ctx)
-    cr = charrank_oriented(ctx, engine=engine)
+    ctx = engine.ctx
+    cr = charrank_oriented(engine)
     pred = cr.prediction
     j_used, j_source = cr.value, "scan"  # uncapped, so exact: ker_dim(d) = 1
     if not engine.top_monomials_die():
@@ -317,11 +316,7 @@ def _w1_free_monomials(k: int, count: int, max_degree: int) -> list[Exponents]:
     return out
 
 
-def cup_lower_sw(
-    ctx: GrassmannContext,
-    budget: int | None = None,
-    engine: GrassmannCohomology | None = None,
-) -> SwLowerBound:
+def cup_lower_sw(engine: GrassmannCohomology, budget: int | None = None) -> SwLowerBound:
     """Largest factor count among w1-free monomials surviving the pullback.
 
     Counts are tried from the largest possible downward; within a count,
@@ -331,8 +326,7 @@ def cup_lower_sw(
     """
     if budget is not None and budget < 0:
         raise ValueError("budget must be non-negative")
-    engine = engine or GrassmannCohomology(ctx)
-    d, k = ctx.d, ctx.k
+    d, k = engine.ctx.d, engine.ctx.k
     tested = 0
     best = 0
     witness: Exponents | None = None
@@ -354,15 +348,10 @@ def cup_lower_sw(
     return SwLowerBound(value=best, capped=capped, witness=witness, tested=tested)
 
 
-def cup_report(
-    ctx: GrassmannContext,
-    budget: int | None = None,
-    engine: GrassmannCohomology | None = None,
-) -> CupBoundReport:
+def cup_report(engine: GrassmannCohomology, budget: int | None = None) -> CupBoundReport:
     """Upper bound plus the monomial-search lower bound in one report."""
-    engine = engine or GrassmannCohomology(ctx)
-    up = cup_upper(ctx, engine=engine)
-    low = cup_lower_sw(ctx, budget=budget, engine=engine)
+    up = cup_upper(engine)
+    low = cup_lower_sw(engine, budget=budget)
     exact, source = up.exact, up.exact_source
     if not low.capped and low.value == up.upper:
         exact, source = up.upper, "search"

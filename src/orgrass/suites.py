@@ -24,7 +24,6 @@ from .gf2poly import Poly
 from .rank_cup import (
     InconsistencyError,
     charrank_oriented,
-    charrank_prediction,
     cup_closed_form,
     cup_upper,
 )
@@ -222,65 +221,45 @@ def _limit_grid(grid: Iterable[tuple[int, int]], n_max: int | None) -> list[tupl
 # -- characteristic rank -----------------------------------------------------
 
 
+def _charrank_row(n: int, k: int, sweep: bool) -> CheckRow:
+    """One exact or sweep row; a sweep row adds the low-degree cross-checks."""
+    t0 = time.perf_counter()
+    ctx = GrassmannContext(n, k)
+    engine = GrassmannCohomology(ctx)
+    res = charrank_oriented(engine)
+    pred = res.prediction
+    data = {
+        "n": n,
+        "k": k,
+        "computed": res.value,
+        "prediction": {"kind": pred.kind, "value": pred.value},
+        "agrees": res.agrees,
+    }
+    if not sweep:
+        ok = pred.kind == "exact" and res.exact and res.agrees is True
+        detail = f"computed={res.value} predicted={pred.value}"
+        return _timed(f"charrank/exact {ctx}", t0, ok, detail, data=data)
+    # kernel-vs-reduction criterion in degree n-k, and the two-step
+    # consequence one degree higher
+    gs = reduced_dual_classes(k, {1}, [n - k + 1, n - k + 2])
+    crit_ok = (engine.ker_dim(n - k) == 0) == (not gs[n - k + 1].is_zero)
+    obs_ok = True
+    if not gs[n - k + 1].is_zero and not gs[n - k + 2].is_zero:
+        obs_ok = res.value >= n - k + 1
+    ok = res.exact and res.agrees is True and crit_ok and obs_ok
+    detail = (
+        f"computed={res.value} predicted {pred.kind}={pred.value} "
+        f"kernel-criterion={'ok' if crit_ok else 'FAIL'} "
+        f"two-step={'ok' if obs_ok else 'FAIL'}"
+    )
+    data.update(kernel_criterion=crit_ok, two_step_bound=obs_ok)
+    return _timed(f"charrank/sweep {ctx}", t0, ok, detail, data=data)
+
+
 def suite_charrank(n_max: int | None = None) -> list[CheckRow]:
     """Exact rows first, then the sweep rows with the low-degree cross-checks."""
-    rows = []
-    for n, k in _limit_grid(exact_value_grid(), n_max):
-        t0 = time.perf_counter()
-        ctx = GrassmannContext(n, k)
-        engine = GrassmannCohomology(ctx)
-        res = charrank_oriented(ctx, engine=engine)
-        pred = charrank_prediction(n, k)
-        ok = pred.kind == "exact" and res.exact and res.agrees is True
-        rows.append(
-            _timed(
-                f"charrank/exact {ctx}",
-                t0,
-                ok,
-                f"computed={res.value} predicted={pred.value}",
-                data={
-                    "n": n,
-                    "k": k,
-                    "computed": res.value,
-                    "prediction": {"kind": pred.kind, "value": pred.value},
-                    "agrees": res.agrees,
-                },
-            )
-        )
-    for n, k in _limit_grid(bound_row_grid(), n_max):
-        t0 = time.perf_counter()
-        ctx = GrassmannContext(n, k)
-        engine = GrassmannCohomology(ctx)
-        res = charrank_oriented(ctx, engine=engine)
-        pred = charrank_prediction(n, k)
-        row_ok = res.exact and res.agrees is True
-        # kernel-vs-reduction criterion in degree n-k, and the two-step
-        # consequence one degree higher
-        gs = reduced_dual_classes(k, {1}, [n - k + 1, n - k + 2])
-        crit_ok = (engine.ker_dim(n - k) == 0) == (not gs[n - k + 1].is_zero)
-        obs_ok = True
-        if not gs[n - k + 1].is_zero and not gs[n - k + 2].is_zero:
-            obs_ok = res.value >= n - k + 1
-        ok = row_ok and crit_ok and obs_ok
-        rows.append(
-            _timed(
-                f"charrank/sweep {ctx}",
-                t0,
-                ok,
-                f"computed={res.value} predicted {pred.kind}={pred.value} "
-                f"kernel-criterion={'ok' if crit_ok else 'FAIL'} "
-                f"two-step={'ok' if obs_ok else 'FAIL'}",
-                data={
-                    "n": n,
-                    "k": k,
-                    "computed": res.value,
-                    "prediction": {"kind": pred.kind, "value": pred.value},
-                    "agrees": res.agrees,
-                    "kernel_criterion": crit_ok,
-                    "two_step_bound": obs_ok,
-                },
-            )
-        )
+    rows = [_charrank_row(n, k, False) for n, k in _limit_grid(exact_value_grid(), n_max)]
+    rows += [_charrank_row(n, k, True) for n, k in _limit_grid(bound_row_grid(), n_max)]
     return rows
 
 
@@ -330,7 +309,7 @@ def suite_cup(
         ctx = GrassmannContext(n, 3)
         engine = GrassmannCohomology(ctx)
         try:
-            up = cup_upper(ctx, engine=engine)
+            up = cup_upper(engine)
         except InconsistencyError as exc:  # a failure, not a crash
             rows.append(_timed(f"cup/G~({n},3) exact", t0, False, f"raised {exc!r}", data={"n": n, "k": 3}))
             continue
@@ -355,7 +334,7 @@ def suite_cup(
             ctx = GrassmannContext(n, k)
             data = {"n": n, "k": k, "closed_form": {"kind": cf.kind, "value": cf.value}}
             try:
-                up = cup_upper(ctx)
+                up = cup_upper(GrassmannCohomology(ctx))
                 ok = up.upper_from_prediction == cf.value
                 detail = f"recomputed={up.upper_from_prediction} closed_form={cf.value}"
                 data.update(upper=up.upper, upper_from_prediction=up.upper_from_prediction)

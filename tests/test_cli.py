@@ -228,6 +228,24 @@ def test_verify_unread_bound_is_usage_error(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("--suite", "charrank", "--t-max", "-1"), "--t-max"),
+        (("--suite", "cup", "--t-max", "-3"), "--t-max"),
+        (("--suite", "vanishing", "--hi", "1"), "--hi"),
+        (("--suite", "vanishing", "--hi", "-5"), "--hi"),
+    ],
+)
+def test_verify_out_of_range_bound_names_its_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "shift count" not in err and "degree range" not in err
+
+
 def test_verbose_only_on_scan(capsys):
     code, _, err = run(capsys, "scan", "--k", "3", "--kill", "1", "--lo", "2", "--hi", "300", "-v")
     assert code == 0

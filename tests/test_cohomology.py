@@ -214,3 +214,11 @@ def test_ideal_membership_bruteforce_G63():
             seen.add(cur)
         assert len(seen) == 1 << sl.ideal_rank
         assert all(sl.reduce(v) == 0 for v in seen)
+
+
+def test_ideal_rows_rejects_engine_of_another_context():
+    ctx = GrassmannContext(7, 3)
+    assert ideal_rows(ctx, 5) == [13]
+    assert ideal_rows(ctx, 5, engine=GrassmannCohomology(ctx)) == [13]
+    with pytest.raises(ValueError, match="G\\(8,3\\)"):
+        ideal_rows(ctx, 5, engine=GrassmannCohomology(GrassmannContext(8, 3)))
