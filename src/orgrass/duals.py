@@ -9,22 +9,42 @@ convolution recurrence
 with dual_0 = 1.  Killing a subset of the variables commutes with the
 recurrence (it is evaluation at 0), so the reduction of dual_i modulo any
 variable subset obeys the same recurrence restricted to the surviving
-variables.  That is how `scan_vanishing` and `reduced_dual_class` work: they
-stream the reduced recurrence directly in the small ring, packing each
-surviving exponent vector into a single int, and never materialise the full
-dual class.  Equality of the two routes is exercised by the test suite.
+variables s0 < s1 < s2 < ....
+
+One packed kernel, `_Kernel`, runs that recurrence for every route: the
+full table (nothing killed, so s0 = w1 and s1 = w2), `scan_vanishing`,
+`reduced_dual_classes` (and so `g` and `reduced_dual_class`) and
+`verify_iterated_recurrence_batch`.  It stores a degree-i class as a dict
+`key -> int bitmask`:
+
+* s0 is implicit: its exponent is fixed by the degree, so multiplying by
+  w_{s0} leaves a term's packed form unchanged;
+* s1 is the dense axis: its exponent is the bit position in the mask, so
+  multiplying by w_{s1} is `mask << 1`, one word operation for a whole row
+  of monomials;
+* s2 onwards are packed into the key, one fixed-width field each, so
+  multiplying by w_m adds a constant to the key.
+
+Field widths come from a degree bound: no exponent of w_m in degree <= hi
+exceeds hi // m, so no field can overflow, and the kernel refuses degrees
+past its bound.  Exponent tuples, and so `Poly` objects, are built only
+for the degrees a caller asks to see.
 
 Iterating the recurrence s times through the Frobenius gives
 
     g_i = w2^(2^s)*g_{i-2*2^s} + ... + wk^(2^s)*g_{i-k*2^s}
 
 for the mod-w1 reductions g, valid whenever i >= 1 + k*2^s;
-`verify_iterated_recurrence_batch` recomputes both sides independently.
+`verify_iterated_recurrence_batch` checks it on the packed classes, where
+w_m^(2^s) is a shift by 2^s or a key offset.
 
-Full dual classes are memoized in a `DualTable`, which can be persisted to a
-cache directory as a small versioned text file (one canonical rendering per
-line).  Table construction is single-writer; a fully built table is
-immutable for readers.
+Full dual classes are memoized in a `DualTable`, which keeps the packed
+class of every degree it has reached and builds a degree's `Poly` only
+when `entry` first asks for it.  A table can be persisted to a cache
+directory as a small versioned text file (one canonical rendering per
+line); loading checks every entry against the kernel.  Table growth is
+single-writer; readers may share a grown table, since the `Poly` memo only
+ever stores the one value a degree has.
 """
 
 from __future__ import annotations
@@ -35,7 +55,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .gf2poly import Exponents, Poly, monomial_degree, parse_poly
+from .gf2poly import Exponents, Poly, parse_poly
 
 __all__ = [
     "DualTable",
@@ -55,54 +75,155 @@ __all__ = [
     "save_cache",
 ]
 
+# a packed homogeneous class: key (exponents of s2, s3, ...) -> mask over s1
+State = dict[int, int]
+
+
+class _Kernel:
+    """The dual recurrence over the surviving variables, on packed states."""
+
+    __slots__ = ("k", "survivors", "hi", "width", "_units")
+
+    def __init__(self, k: int, killed: frozenset[int], hi: int):
+        if k < 1:
+            raise ValueError("need at least one variable")
+        if not killed <= frozenset(range(1, k + 1)):
+            raise ValueError(f"kill set {sorted(killed)} outside 1..{k}")
+        if hi < 0:
+            raise ValueError("degree bound must be non-negative")
+        self.k = k
+        self.survivors = tuple(m for m in range(1, k + 1) if m not in killed)
+        self.hi = hi
+        keyed = self.survivors[2:]
+        # the smallest keyed variable has the largest exponents: at most hi // m
+        self.width = (hi // keyed[0]).bit_length() if keyed else 0
+        self._units = {m: 1 << (self.width * idx) for idx, m in enumerate(keyed)}
+
+    def step(self, i: int, states: Sequence[State] | Mapping[int, State]) -> State:
+        """The degree-i class, from states[i - m] for each surviving m <= i."""
+        if i > self.hi:
+            raise ValueError(f"degree {i} past the packing bound {self.hi}")
+        if i == 0:
+            return {0: 1}
+        acc: State = {}
+        for m in self.survivors:
+            if m > i:
+                break
+            prev = states[i - m]
+            if prev:
+                self.add_product(acc, m, 1, prev)
+        return acc
+
+    def add_product(self, acc: State, m: int, e: int, state: State) -> None:
+        """acc += w_m^e * state, in place; acc must not be state."""
+        surv = self.survivors
+        if m == surv[0]:
+            if not acc:
+                acc.update(state)
+                return
+            moved = state.items()
+        elif m == surv[1]:
+            moved = [(key, v << e) for key, v in state.items()]
+        else:
+            off = e * self._units[m]
+            moved = [(key + off, v) for key, v in state.items()]
+        get = acc.get
+        for key, v in moved:
+            w = get(key)
+            if w is None:
+                acc[key] = v
+            elif w != v:
+                acc[key] = w ^ v
+            else:
+                del acc[key]
+
+    def poly(self, i: int, state: State) -> Poly:
+        """The degree-i class `state` as a polynomial over w1..wk."""
+        surv = self.survivors
+        # variables are numbered from 1, so 0 stands for an absent axis
+        implicit = surv[0] if surv else 0
+        dense = surv[1] if len(surv) > 1 else 0
+        field = (1 << self.width) - 1
+        out: list[Exponents] = []
+        e = [0] * self.k
+        for key, v in state.items():
+            rest = i
+            for m, unit in self._units.items():
+                x = (key // unit) & field
+                e[m - 1] = x
+                rest -= m * x
+            for b, bit in enumerate(bin(v)[:1:-1]):
+                if bit == "1":
+                    if dense:
+                        e[dense - 1] = b
+                    if implicit:
+                        e[implicit - 1] = (rest - dense * b) // implicit
+                    out.append(tuple(e))
+        return Poly._raw(self.k, frozenset(out))
+
+    def series(self) -> Iterator[tuple[int, State]]:
+        """Yield (i, state) for i = 0..hi, keeping one window of degrees."""
+        horizon = max(self.survivors, default=1)
+        window: dict[int, State] = {}
+        for i in range(self.hi + 1):
+            state = window[i] = self.step(i, window)
+            yield i, state
+            window.pop(i - horizon, None)
+
+
+# the table's fields are sized for this degree, so they never need repacking
+_TABLE_MAX_DEGREE = (1 << 32) - 1
+
 
 class DualTable:
     """Memoized dual classes for a fixed variable count.
 
     Entry i is homogeneous of degree i; entry 0 is the constant 1.  The
-    table grows on demand and is append-only.
+    table grows on demand and is append-only.  It keeps every degree in
+    packed form and builds a degree's `Poly` when `entry` first asks.
     """
 
-    __slots__ = ("k", "_entries")
+    __slots__ = ("k", "_kernel", "_states", "_polys")
 
     def __init__(self, k: int):
-        if k < 1:
-            raise ValueError("need at least one variable")
         self.k = k
-        self._entries: list[Poly] = [Poly.one(k)]
+        self._kernel = _Kernel(k, frozenset(), _TABLE_MAX_DEGREE)
+        self._states: list[State] = [{0: 1}]
+        self._polys: dict[int, Poly] = {}
 
     @property
     def computed_up_to(self) -> int:
-        return len(self._entries) - 1
+        return len(self._states) - 1
 
     def ensure(self, i: int) -> None:
         if i < 0:
             raise ValueError("degree must be non-negative")
-        k = self.k
-        while len(self._entries) <= i:
-            j = len(self._entries)
-            acc: set[Exponents] = set()
-            for m in range(1, min(k, j) + 1):
-                for t in self._entries[j - m].terms:
-                    s = t[: m - 1] + (t[m - 1] + 1,) + t[m:]
-                    if s in acc:
-                        acc.discard(s)
-                    else:
-                        acc.add(s)
-            self._entries.append(Poly._raw(k, frozenset(acc)))
+        if i > _TABLE_MAX_DEGREE:
+            raise ValueError(f"degree {i} past the table's limit {_TABLE_MAX_DEGREE}")
+        states = self._states
+        step = self._kernel.step
+        for j in range(len(states), i + 1):
+            states.append(step(j, states))
 
     def entry(self, i: int) -> Poly:
         self.ensure(i)
-        return self._entries[i]
+        p = self._polys.get(i)
+        if p is None:
+            p = self._polys[i] = self._kernel.poly(i, self._states[i])
+        return p
 
     def dump_lines(self) -> list[str]:
         lines = [CACHE_FORMAT, f"k={self.k} max={self.computed_up_to}"]
-        lines.extend(f"{i}\t{p}" for i, p in enumerate(self._entries))
+        lines.extend(f"{i}\t{self.entry(i)}" for i in range(self.computed_up_to + 1))
         return lines
 
     @classmethod
     def parse_lines(cls, lines: Sequence[str]) -> "DualTable | None":
-        """Rebuild a table from its dump, or None if anything mismatches."""
+        """Rebuild a table from its dump, or None if anything mismatches.
+
+        Every entry must equal the kernel's class of its degree, so a
+        corrupted but well-formed file is rejected too.
+        """
         try:
             if len(lines) < 2 or lines[0].strip() != CACHE_FORMAT:
                 return None
@@ -113,18 +234,11 @@ class DualTable:
             if len(body) != top + 1:
                 return None
             table = cls(k)
+            table.ensure(top)
             for i, ln in enumerate(body):
                 num, text = ln.split("\t", 1)
-                if int(num) != i:
+                if int(num) != i or parse_poly(k, text) != table.entry(i):
                     return None
-                p = parse_poly(k, text)
-                if any(monomial_degree(t) != i for t in p.terms):
-                    return None
-                if i == 0:
-                    if p != Poly.one(k):
-                        return None
-                    continue
-                table._entries.append(p)
             return table
         except (ValueError, IndexError):
             return None
@@ -151,71 +265,6 @@ def dual_class(k: int, i: int) -> Poly:
 # -- reduced recurrence streaming ---------------------------------------
 
 
-class _Layout:
-    """Bit packing of exponent vectors over the surviving variables."""
-
-    __slots__ = ("k", "survivors", "width", "_offsets")
-
-    def __init__(self, k: int, killed: frozenset[int], hi: int):
-        self.k = k
-        self.survivors = [m for m in range(1, k + 1) if m not in killed]
-        # every exponent in degree <= hi is <= hi, so this width cannot overflow
-        self.width = max(4, hi.bit_length() + 1)
-        self._offsets = {m: self.width * idx for idx, m in enumerate(self.survivors)}
-
-    def shift(self, m: int, e: int = 1) -> int:
-        return e << self._offsets[m]
-
-    def unpack(self, code: int) -> Exponents:
-        e = [0] * self.k
-        mask = (1 << self.width) - 1
-        for m in self.survivors:
-            e[m - 1] = (code >> self._offsets[m]) & mask
-        return tuple(e)
-
-    def to_poly(self, codes: Iterable[int]) -> Poly:
-        return Poly._raw(self.k, frozenset(self.unpack(c) for c in codes))
-
-
-class _ReducedSeries:
-    """Stream of the degree-i reductions, as packed-int term sets.
-
-    Yields (i, set_of_codes) for i = 0..hi.  Only the last max(survivor)
-    degrees are retained, so memory stays proportional to a single window;
-    callers wanting to keep a degree must copy the set.
-    """
-
-    def __init__(self, k: int, killed: frozenset[int], hi: int):
-        if k < 1:
-            raise ValueError("need at least one variable")
-        if not killed <= frozenset(range(1, k + 1)):
-            raise ValueError(f"kill set {sorted(killed)} outside 1..{k}")
-        if hi < 0:
-            raise ValueError("degree bound must be non-negative")
-        self.k = k
-        self.killed = killed
-        self.hi = hi
-        self.layout = _Layout(k, killed, hi)
-
-    def __iter__(self) -> Iterator[tuple[int, set[int]]]:
-        lay = self.layout
-        window: dict[int, set[int]] = {0: {0}}
-        yield 0, window[0]
-        horizon = max(lay.survivors, default=1)
-        for i in range(1, self.hi + 1):
-            acc: set[int] = set()
-            for m in lay.survivors:
-                if m > i:
-                    break
-                prev = window.get(i - m)
-                if prev:
-                    u = lay.shift(m)
-                    acc ^= {c + u for c in prev}
-            window[i] = acc
-            yield i, acc
-            window.pop(i - horizon, None)
-
-
 def reduced_dual_classes(
     k: int, killed: Iterable[int], degrees: Iterable[int]
 ) -> dict[int, Poly]:
@@ -225,13 +274,9 @@ def reduced_dual_classes(
         return {}
     if wanted[0] < 0:
         raise ValueError("degrees must be non-negative")
-    series = _ReducedSeries(k, frozenset(killed), wanted[-1])
+    kernel = _Kernel(k, frozenset(killed), wanted[-1])
     need = set(wanted)
-    out: dict[int, Poly] = {}
-    for i, codes in series:
-        if i in need:
-            out[i] = series.layout.to_poly(codes)
-    return out
+    return {i: kernel.poly(i, state) for i, state in kernel.series() if i in need}
 
 
 def reduced_dual_class(k: int, i: int, killed: Iterable[int]) -> Poly:
@@ -279,16 +324,16 @@ def scan_vanishing(
     killed = frozenset(killed)
     if lo < 0 or lo > hi:
         raise ValueError(f"bad degree range [{lo}, {hi}]")
-    series = _ReducedSeries(k, killed, hi)
+    kernel = _Kernel(k, killed, hi)
     zeros: list[int] = []
     values: dict[int, Poly] | None = {} if keep_values else None
-    for i, codes in series:
+    for i, state in kernel.series():
         if i < lo:
             continue
-        if not codes:
+        if not state:
             zeros.append(i)
         if values is not None:
-            values[i] = series.layout.to_poly(codes)
+            values[i] = kernel.poly(i, state)
         if progress is not None and i % 128 == 0:
             progress(i)
     return ReductionScan(
@@ -323,20 +368,16 @@ def verify_iterated_recurrence_batch(
             step = 1 << s
             needed.add(i)
             needed.update(i - m * step for m in range(2, k + 1))
-        series = _ReducedSeries(k, frozenset({1}), max(needed))
-        snaps: dict[int, frozenset[int]] = {}
-        for deg, codes in series:
-            if deg in needed:
-                snaps[deg] = frozenset(codes)
-        lay = series.layout
+        kernel = _Kernel(k, frozenset({1}), max(needed))
+        # states are never mutated once yielded, so they can be held as they are
+        snaps = {i: state for i, state in kernel.series() if i in needed}
         for idx in idxs:
             _, i, s = cases[idx]
             step = 1 << s
-            rhs: set[int] = set()
+            rhs: State = {}
             for m in range(2, k + 1):
-                u = lay.shift(m, step)
-                rhs ^= {c + u for c in snaps[i - m * step]}
-            results[idx] = rhs == set(snaps[i])
+                kernel.add_product(rhs, m, step, snaps[i - m * step])
+            results[idx] = rhs == snaps[i]
     return results  # type: ignore[return-value]
 
 
@@ -399,7 +440,9 @@ def load_cache(k: int, cache_dir: str | None = None) -> int:
 
     Returns the degree covered by the disk copy (-1 for none), so callers
     can tell whether a later save would add anything.  Unreadable or
-    version-mismatched files are ignored (and overwritten on the next save).
+    version-mismatched files, and files with any entry that differs from
+    the kernel's class of its degree, are ignored (and overwritten on the
+    next save).
     """
     cache_dir = cache_dir or default_cache_dir()
     path = cache_path(cache_dir, k)

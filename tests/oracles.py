@@ -115,6 +115,37 @@ def truncated_geometric_inverse(k: int, degree: int) -> Poly:
     return Poly(k, [t for t in total.terms if monomial_degree(t) == degree])
 
 
+def digit_rule_terms(k: int, degree: int, killed=frozenset()) -> frozenset[tuple[int, ...]]:
+    """Terms of the degree-`degree` dual class with the `killed` variables zero.
+
+    The dual class is the degree-`degree` part of sum_n (w1 + ... + wk)^n,
+    so the coefficient of w1^e1...wk^ek is the multinomial coefficient
+    (e1 + ... + ek)! / (e1! ... ek!) mod 2.  By Lucas' theorem that is 1
+    exactly when the binary digits of e1..ek are pairwise disjoint.  The
+    terms are found digit by digit from the lowest: each binary digit goes
+    to at most one surviving wm, which spends m times that digit's value.
+    """
+    alive = [m for m in range(1, k + 1) if m not in killed]
+    out: list[tuple[int, ...]] = []
+    e = [0] * k
+
+    def rec(bit: int, remaining: int) -> None:
+        # remaining is the degree still to spend, in units of 2^bit
+        if remaining == 0:
+            out.append(tuple(e))
+            return
+        for m in alive:
+            if m <= remaining and (remaining - m) % 2 == 0:
+                e[m - 1] += 1 << bit
+                rec(bit + 1, (remaining - m) // 2)
+                e[m - 1] -= 1 << bit
+        if remaining % 2 == 0:
+            rec(bit + 1, remaining // 2)
+
+    rec(0, degree)
+    return frozenset(out)
+
+
 def random_poly(rng: random.Random, k: int, max_degree: int = 6, max_terms: int = 6) -> Poly:
     terms = []
     for _ in range(rng.randint(0, max_terms)):

@@ -8,7 +8,9 @@ target there keeps this test passing.
 
 import os
 
-from orgrass import GrassmannCohomology, GrassmannContext
+from orgrass import DualTable, GrassmannCohomology, GrassmannContext
+
+from oracles import digit_rule_terms
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
@@ -25,3 +27,19 @@ def test_every_traced_callable_is_found(monkeypatch):
         assert tracer.time_row_generation() > 0
     finally:
         tracer.uninstall()
+
+
+def test_table_growth_counters_match_digit_rule(monkeypatch):
+    # the traced table counts every new entry and its terms, however lazily
+    # the table builds its polynomials
+    monkeypatch.syspath_prepend(BENCH)
+    import spans
+
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        DualTable(3).ensure(40)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["ensure.entries"] == 40
+    assert tracer.counts["ensure.terms"] == sum(len(digit_rule_terms(3, i)) for i in range(1, 41))

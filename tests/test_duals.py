@@ -4,6 +4,7 @@ import time
 import pytest
 
 import orgrass.duals as duals
+from orgrass.suites import suite_vanishing
 from orgrass import (
     DualTable,
     Poly,
@@ -15,7 +16,7 @@ from orgrass import (
     verify_iterated_recurrence_batch,
 )
 
-from oracles import truncated_geometric_inverse
+from oracles import digit_rule_terms, truncated_geometric_inverse
 
 
 def test_first_components_by_hand():
@@ -163,6 +164,72 @@ def test_iterated_recurrence_batch_matches_single():
     ]
 
 
+# -- packed kernel against the digit rule ---------------------------------
+
+KILL_SETS = (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 3}), frozenset({1, 2, 3}))
+SAMPLED = list(range(0, 65)) + [97, 128, 200, 255, 256, 300, 383, 448, 511, 512, 600]
+
+
+def _oracle_mismatches(k: int, killed: frozenset, degrees: list[int]) -> list[int]:
+    got = reduced_dual_classes(k, killed, degrees)
+    return [i for i in degrees if got[i].terms != digit_rule_terms(k, i, killed)]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_reduced_classes_match_digit_rule(k):
+    for killed in KILL_SETS:
+        assert _oracle_mismatches(k, killed, SAMPLED) == [], (k, sorted(killed))
+
+
+def test_long_scans_match_digit_rule():
+    for k, hi in ((3, 4096), (4, 1024)):
+        want = tuple(i for i in range(2, hi + 1) if not digit_rule_terms(k, i, {1}))
+        assert scan_vanishing(k, {1}, 2, hi).zero_degrees == want
+
+
+def test_dense_axis_mutation_is_caught(monkeypatch):
+    # a kernel that multiplies by w_{s1} as if it were the implicit w_{s0}
+    original = duals._Kernel.add_product
+
+    def no_shift(self, acc, m, e, state):
+        if len(self.survivors) > 1 and m == self.survivors[1]:
+            m = self.survivors[0]
+        original(self, acc, m, e, state)
+
+    monkeypatch.setattr(duals._Kernel, "add_product", no_shift)
+    assert _oracle_mismatches(3, frozenset({1}), list(range(0, 65))) != []
+    assert _oracle_mismatches(4, frozenset(), list(range(0, 65))) != []
+    rows = suite_vanishing(hi3=64, hi4=64, hi5=64, hi6=32)
+    assert not all(row.ok for row in rows)
+
+
+def test_no_one_or_two_survivors():
+    assert scan_vanishing(3, {1, 2, 3}, 0, 5).zero_degrees == (1, 2, 3, 4, 5)
+    assert scan_vanishing(3, {1, 2}, 0, 12).zero_degrees == (1, 2, 4, 5, 7, 8, 10, 11)
+    assert scan_vanishing(2, {1}, 0, 12).zero_degrees == (1, 3, 5, 7, 9, 11)
+    assert reduced_dual_class(3, 9, {1, 2}) == Poly.parse(3, "w3^3")
+    assert reduced_dual_class(3, 0, {1, 2, 3}) == Poly.one(3)
+
+
+def test_kept_values_render_as_reduced_full_class():
+    for k, killed in ((3, {1}), (4, {1, 2, 3}), (4, {2}), (5, {1, 3}), (3, {1, 2}), (3, {1, 2, 3}), (2, set())):
+        scan = scan_vanishing(k, killed, 0, 30, keep_values=True)
+        for i in range(31):
+            assert str(scan.values[i]) == str(dual_class(k, i).reduce_mod_vars(killed)), (k, killed, i)
+
+
+def test_entry_is_built_once():
+    table = DualTable(3)
+    table.ensure(50)
+    assert table.entry(37) is table.entry(37)
+    assert table.entry(37).terms == digit_rule_terms(3, 37)
+
+
+def test_table_refuses_degrees_past_its_packing():
+    with pytest.raises(ValueError, match="limit"):
+        DualTable(3).ensure(duals._TABLE_MAX_DEGREE + 1)
+
+
 # -- cache ----------------------------------------------------------------
 
 
@@ -190,6 +257,22 @@ def test_cache_corruption_discarded():
     lines = table.dump_lines()
     lines[4] = "2\tw1^3"  # wrong degree for entry 2
     assert DualTable.parse_lines(lines) is None
+
+
+def test_corrupted_cache_entry_rejected(tmp_path, monkeypatch):
+    monkeypatch.setitem(duals._TABLES, 3, DualTable(3))
+    duals.dual_table(3).ensure(8)
+    path = duals.save_cache(3, str(tmp_path))
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    assert lines[2 + 5].startswith("5\t")
+    lines[2 + 5] = "5\tw1^5"  # well formed and homogeneous, but not the dual class
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    monkeypatch.setitem(duals._TABLES, 3, DualTable(3))
+    assert duals.load_cache(3, str(tmp_path)) == -1
+    assert dual_class(3, 5) == Poly.parse(3, "w1^5 + w1^2*w3 + w1*w2^2")
+    assert dual_class(3, 5).terms == digit_rule_terms(3, 5)
 
 
 def test_cache_save_load_files(tmp_path, monkeypatch):
