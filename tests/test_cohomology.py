@@ -3,6 +3,7 @@ import math
 import pytest
 
 from orgrass import (
+    DegreeSlice,
     GrassmannCohomology,
     GrassmannContext,
     Poly,
@@ -10,6 +11,7 @@ from orgrass import (
     g,
     ideal_rows,
 )
+from orgrass.suites import suite_oracle
 
 from oracles import partitions_in_box
 
@@ -222,3 +224,31 @@ def test_ideal_rows_rejects_engine_of_another_context():
     assert ideal_rows(ctx, 5, engine=GrassmannCohomology(ctx)) == [13]
     with pytest.raises(ValueError, match="G\\(8,3\\)"):
         ideal_rows(ctx, 5, engine=GrassmannCohomology(GrassmannContext(8, 3)))
+
+
+def _oracle_row():
+    (row,) = suite_oracle(((6, 3),))
+    return row
+
+
+def test_oracle_fails_when_a_spanned_vector_is_left_unreduced(monkeypatch):
+    victim = ideal_rows(GrassmannContext(6, 3), 5)[0]
+    reduce = DegreeSlice.reduce
+    monkeypatch.setattr(
+        DegreeSlice, "reduce", lambda self, v: 1 if (self.j, v) == (5, victim) else reduce(self, v)
+    )
+    row = _oracle_row()
+    assert not row.ok
+    assert row.detail == "degree 5: a spanned vector does not reduce to 0"
+
+
+def test_oracle_fails_when_the_ideal_rank_is_off_by_one(monkeypatch):
+    monkeypatch.setattr(DegreeSlice, "ideal_rank", property(lambda self: len(self.pivots) + 1))
+    row = _oracle_row()
+    assert not row.ok
+    assert row.detail == "degree 0: span size != 2^rank"
+
+
+def test_oracle_passes_unmutated():
+    row = _oracle_row()
+    assert row.ok and row.detail == "degrees 0..9 checked"

@@ -6,6 +6,7 @@ The presentation side uses only slices, `reduce_to_quotient` and
 `oracles.monk_ranks`.
 """
 
+import random
 from itertools import combinations, product
 
 import pytest
@@ -83,7 +84,47 @@ def test_ranks_match_monk_oracle_beyond_presentation(rows, cols):
     assert [basis.dim(j) for j in degrees] == [
         len(parts) for parts in box_partitions_by_degree(rows, cols)
     ]
-    assert [basis.w1_rank(j) for j in degrees] == monk_ranks(rows, cols)
+    ranks = monk_ranks(rows, cols)
+    assert [basis.w1_rank(j) for j in degrees] == ranks
+    sizes = [basis.dim(j) - rank for j, rank in enumerate(ranks)]
+    assert [len(basis.kernel(j)) for j in degrees] == sizes
+
+
+@pytest.mark.parametrize(
+    "rows,cols", [(1, 6), (2, 9), (3, 5), (3, 10), (4, 4), (4, 6), (5, 5), (6, 4)]
+)
+def test_kernel_vectors_are_killed_and_independent(rows, cols):
+    basis = SchubertBasis(rows, cols)
+    for j in range(rows * cols + 1):
+        kernel = basis.kernel(j)
+        assert all(v >> basis.dim(j) == 0 for v in kernel)
+        assert all(basis.times_w(v, j, 1) == 0 for v in kernel)
+        assert len(_echelon(kernel)) == len(kernel)
+
+
+@pytest.mark.parametrize("n,k", [(8, 3), (10, 5), (12, 4)])
+def test_in_image_by_duality_matches_presentation_span(n, k):
+    # every monomial and random sums of them, in every degree including 0
+    # and d; the presentation side is row-span membership in w1_matrix
+    rng = random.Random(n * 100 + k)
+    engine = GrassmannCohomology(GrassmannContext(n, k))
+    d = engine.ctx.d
+    checked = inside = 0
+    for j in range(d + 1):
+        img = _echelon(engine.w1_matrix(j - 1)) if j else {}
+        monomials = list(enumerate_monomials(k, j))
+        samples = [[e] for e in monomials]
+        samples += [rng.sample(monomials, rng.randint(1, len(monomials))) for _ in range(8)]
+        for terms in samples:
+            p = Poly(k, terms)
+            want = _in_span(_bits(engine.reduce_to_quotient(p, degree=j)), img)
+            v = 0
+            for t in p.terms:
+                v ^= engine.schubert.expand(t)
+            assert engine.schubert.in_image(v, j) == want, (j, terms)
+            checked += 1
+            inside += want
+    assert 0 < inside < checked
 
 
 def test_cells_match_bruteforce_words():
@@ -140,6 +181,13 @@ def _word(lam):
     return sum(1 << (part + len(lam) - 1 - r) for r, part in enumerate(lam))
 
 
+def _isolate_kernel_memo(monkeypatch):
+    # a mutated rule must compute its own kernels: the process-wide memo
+    # would otherwise answer from kernels of the correct rule, and keep the
+    # mutant's kernels for later tests
+    monkeypatch.setattr(schubert, "_KERNELS", {})
+
+
 def test_wrong_pieri_convention_is_caught(monkeypatch):
     # w_i = sigma(i) agrees with w_i = sigma(1^i) on most monomials, so only
     # the exhaustive comparison sees it
@@ -147,6 +195,7 @@ def test_wrong_pieri_convention_is_caught(monkeypatch):
         lam = _partition(w)
         return [_word(mu) for mu in _horizontal_strips(lam, i, n - len(lam))]
 
+    _isolate_kernel_memo(monkeypatch)
     monkeypatch.setattr(schubert, "_vertical_strips", horizontal)
     mismatches, _ = _pullback_mismatches(PULLBACK_CONTEXTS)
     assert mismatches > 0
@@ -154,6 +203,7 @@ def test_wrong_pieri_convention_is_caught(monkeypatch):
 
 def _drop_last_row_box(monkeypatch):
     # the last row's one is the word's lowest bit
+    _isolate_kernel_memo(monkeypatch)
     monk = schubert._monk
     monkeypatch.setattr(
         schubert, "_monk", lambda w, n: [mu for mu in monk(w, n) if mu & -mu == w & -w]
@@ -172,3 +222,34 @@ def test_cup_exact_row_reports_inconsistency_as_failure(monkeypatch):
     exact = rows[0]
     assert exact.name == "cup/G~(8,3) exact"
     assert not exact.ok and "InconsistencyError" in exact.detail
+
+
+def test_warm_memo_does_not_hide_a_wrong_monk_rule(monkeypatch):
+    # the same contexts computed with the correct rule first
+    warm = suite_charrank(n_max=8) + suite_gysin(n_max=8) + suite_topdie(n_max=8)
+    assert all(r.ok for r in warm)
+    _drop_last_row_box(monkeypatch)
+    rows = suite_charrank(n_max=8) + suite_gysin(n_max=8) + suite_topdie(n_max=8)
+    assert any(not r.ok for r in rows)
+
+
+def test_scan_over_n_builds_only_the_new_block(monkeypatch):
+    # with G(19,4) memoised, the kernels of G(20,4) need Monk rows only for
+    # the cells of G(19,3), the cells of G(20,4) with the top bit set
+    _isolate_kernel_memo(monkeypatch)
+    smaller = SchubertBasis(4, 15)
+    for j in range(smaller.top + 1):
+        smaller.kernel(j)
+    seen = []
+    monk = schubert._monk
+
+    def counted(w, n):
+        seen.append((w, n))
+        return monk(w, n)
+
+    monkeypatch.setattr(schubert, "_monk", counted)
+    basis = SchubertBasis(4, 16)
+    sizes = [len(basis.kernel(j)) for j in range(basis.top + 1)]
+    assert sizes == [basis.dim(j) - rank for j, rank in enumerate(monk_ranks(4, 16))]
+    assert 0 < len(seen) <= 969  # C(19,3)
+    assert all(n == 19 and w.bit_count() == 3 and w < 1 << 19 for w, n in seen)
