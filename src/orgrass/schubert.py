@@ -40,7 +40,9 @@ n to a box where it is memoised or trivial.  A process-wide memo maps
 (n, k, j) to the kernel, by columns and in terms of the kernel of G(n-1,k)
 (see `_Kernel`); it holds kernels only, never cells, and the block cells
 live in each `SchubertBasis` and only for the last degree of each block.  A
-scan over n therefore costs about one block per context.
+scan over n therefore costs about one block per context.  The memo is
+bounded: past about 16 MB of kernels the oldest leave first, and a chain
+that misses one rebuilds it from the box below.
 
 Images are answered by duality.  Matching each cell with its n-bit
 reversal, the cell of the complementary partition, makes the Monk matrix
@@ -85,23 +87,6 @@ def _vertical_strips(w: int, i: int, n: int) -> list[int]:
     return out
 
 
-def _tree_level(words, n: int) -> list[int]:
-    """The next level of the spanning tree: a child starts a new row (the top
-    one of the trailing run moves into the lowest zero) or adds a box to the
-    last nonzero row (the lowest displaced one moves up into a free bit)."""
-    top = 1 << (n - 1)
-    out = []
-    for w in words:
-        zero = ~w & (w + 1)
-        if 1 < zero <= top:
-            out.append(w + (zero >> 1))
-        displaced = w & -zero
-        low = displaced & -displaced
-        if low and low < top and not w & (low << 1):
-            out.append(w + low)
-    return out
-
-
 def _reverse(w: int, n: int) -> int:
     """The n-bit reversal of w: the cell of the complementary partition."""
     return int(f"{w:0{n}b}"[::-1], 2)
@@ -135,18 +120,24 @@ def _dims(rows: int, cols: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def _box_cells(rows: int, cols: int, j: int) -> list[int]:
-    """The degree-j cells of the rows x cols box, ascending: grouped by the
-    position rows-1+c of the top one, below which sits a cell of rows-1 x c."""
+def _box_cells(rows: int, cols: int, j: int, high: int = 0) -> list[int]:
+    """The degree-j cells of the rows x cols box, ascending, each with the
+    bits of `high` added: grouped by the position rows-1+c of the top one,
+    below which sits a cell of rows-1 x c."""
     if rows <= 1:
-        return [(1 << j) >> (1 - rows)] if 0 <= j <= rows * cols else []
+        return [(1 << j) >> (1 - rows) | high] if 0 <= j <= rows * cols else []
     tops = range(-(-j // rows), min(j, cols) + 1)
     if rows == 2:
-        return [1 << (j - c) | 2 << c for c in tops]
+        return [1 << (j - c) | 2 << c | high for c in tops]
+    if rows == 3:
+        return [
+            1 << (j - c - b) | 2 << b | 4 << c | high
+            for c in tops
+            for b in range(-(-(j - c) // 2), min(j - c, c) + 1)
+        ]
     out = []
     for c in tops:
-        top = 1 << (rows - 1 + c)
-        out += [w | top for w in _box_cells(rows - 1, c, j - c)]
+        out += _box_cells(rows - 1, c, j - c, high | 1 << (rows - 1 + c))
     return out
 
 
@@ -168,8 +159,36 @@ class _Kernel(NamedTuple):
 _EMPTY = _Kernel(0, (), ())
 _POINT = _Kernel(1, (), (1,))  # a box with one cell, which w1 kills
 
-# (n, k, j) -> the _Kernel of G(n,k) in degree j; kernels only, never cells
-_KERNELS: dict[tuple[int, int, int], _Kernel] = {}
+
+class _Memo:
+    """(n, k, j) -> the _Kernel of G(n,k) in degree j; kernels only, never
+    cells.  Once the kernels' estimated bytes pass `limit`, the oldest leave
+    first: a scan over n reads only the kernels of the previous context, and
+    a report reads each degree's once."""
+
+    def __init__(self, limit: int = 1 << 24):
+        self.kernels: dict[tuple[int, int, int], _Kernel] = {}
+        self.limit = limit
+        self.bytes = 0
+
+    def get(self, key: tuple[int, int, int]) -> _Kernel | None:
+        return self.kernels.get(key)
+
+    def add(self, key: tuple[int, int, int], kernel: _Kernel) -> _Kernel:
+        kernels = self.kernels
+        kernels[key] = kernel
+        self.bytes += _bytes(kernel)
+        while self.bytes > self.limit:
+            self.bytes -= _bytes(kernels.pop(next(iter(kernels))))
+        return kernel
+
+
+def _bytes(kernel: _Kernel) -> int:
+    """About what a kernel holds: a tuple slot and an int of `size` bits per column."""
+    return (len(kernel.quotient) + len(kernel.cells)) * (36 + kernel.size // 8)
+
+
+_KERNELS = _Memo()
 
 
 def _base(rows: int, cols: int, j: int) -> _Kernel | None:
@@ -188,41 +207,38 @@ def _kernel(rows: int, cols: int, j: int, blocks: dict) -> _Kernel:
     memo = _KERNELS
     missing = []
     c = cols
-    while True:
-        kernel = _base(rows, c, j) or memo.get((rows + c, rows, j))
-        if kernel is not None:
-            break
+    while (kernel := _base(rows, c, j) or memo.get((rows + c, rows, j))) is None:
         missing.append(c)
         c -= 1
     for c in reversed(missing):
-        kernel = memo[rows + c, rows, j] = _split_kernel(rows, c, j, kernel, blocks)
+        kernel = memo.add((rows + c, rows, j), _split_kernel(rows, c, j, kernel, blocks))
     return kernel
 
 
 def _chain(rows: int, cols: int, j: int, blocks: dict) -> list[tuple[int, _Kernel]]:
     """(c, kernel of rows x c in degree j) for c = cols, cols-1, ... down to
-    where the recursion stops."""
-    out = []
+    where the recursion stops, building the ones the memo lacks."""
+    memo = _KERNELS
+    found = []
     c = cols
-    while True:
-        out.append((c, _kernel(rows, c, j, blocks)))
-        if _base(rows, c, j):
-            return out
+    while (base := _base(rows, c, j)) is None:
+        found.append((c, memo.get((rows + c, rows, j))))
         c -= 1
+    out = [(c, base)]
+    for c, kernel in reversed(found):
+        if kernel is None:
+            kernel = memo.add((rows + c, rows, j), _split_kernel(rows, c, j, out[-1][1], blocks))
+        out.append((c, kernel))
+    return out[::-1]
 
 
 def _block_cells(blocks: dict, rows: int, cols: int, j: int) -> list[int]:
     """`_box_cells`, remembering the last degree asked of each box: a scan
-    upwards asks each degree twice, first as a target, then as a source; and
-    past two rows, the degree after the last one is quicker as a level of the
-    spanning tree."""
+    upwards asks each degree twice, first as a target, then as a source."""
     last = blocks.get((rows, cols))
     if last is not None and last[0] == j:
         return last[1]
-    if last is not None and last[0] == j - 1 >= 0 and rows > 2:
-        cells = sorted(_tree_level(last[1], rows + cols))
-    else:
-        cells = _box_cells(rows, cols, j)
+    cells = _box_cells(rows, cols, j)
     blocks[rows, cols] = (j, cells)
     return cells
 

@@ -185,7 +185,7 @@ def _isolate_kernel_memo(monkeypatch):
     # a mutated rule must compute its own kernels: the process-wide memo
     # would otherwise answer from kernels of the correct rule, and keep the
     # mutant's kernels for later tests
-    monkeypatch.setattr(schubert, "_KERNELS", {})
+    monkeypatch.setattr(schubert, "_KERNELS", schubert._Memo())
 
 
 def test_wrong_pieri_convention_is_caught(monkeypatch):
@@ -211,6 +211,10 @@ def _drop_last_row_box(monkeypatch):
 
 
 def test_wrong_monk_rule_fails_suite_rows(monkeypatch):
+    # the same contexts computed with the correct rule first: their kernels,
+    # left in the memo, would answer for the mutant without isolation
+    warm = suite_charrank(n_max=8) + suite_gysin(n_max=8) + suite_topdie(n_max=8)
+    assert all(r.ok for r in warm)
     _drop_last_row_box(monkeypatch)
     rows = suite_charrank(n_max=8) + suite_gysin(n_max=8) + suite_topdie(n_max=8)
     assert any(not r.ok for r in rows)
@@ -222,15 +226,6 @@ def test_cup_exact_row_reports_inconsistency_as_failure(monkeypatch):
     exact = rows[0]
     assert exact.name == "cup/G~(8,3) exact"
     assert not exact.ok and "InconsistencyError" in exact.detail
-
-
-def test_warm_memo_does_not_hide_a_wrong_monk_rule(monkeypatch):
-    # the same contexts computed with the correct rule first
-    warm = suite_charrank(n_max=8) + suite_gysin(n_max=8) + suite_topdie(n_max=8)
-    assert all(r.ok for r in warm)
-    _drop_last_row_box(monkeypatch)
-    rows = suite_charrank(n_max=8) + suite_gysin(n_max=8) + suite_topdie(n_max=8)
-    assert any(not r.ok for r in rows)
 
 
 def test_scan_over_n_builds_only_the_new_block(monkeypatch):
@@ -253,3 +248,35 @@ def test_scan_over_n_builds_only_the_new_block(monkeypatch):
     assert sizes == [basis.dim(j) - rank for j, rank in enumerate(monk_ranks(4, 16))]
     assert 0 < len(seen) <= 969  # C(19,3)
     assert all(n == 19 and w.bit_count() == 3 and w < 1 << 19 for w, n in seen)
+
+
+def test_memo_stays_under_its_limit(monkeypatch):
+    # far below what the kernels of G(24,5) and its smaller boxes take: the
+    # oldest leave, and the ranks are those of the oracle
+    memo = schubert._Memo(limit=1 << 16)
+    monkeypatch.setattr(schubert, "_KERNELS", memo)
+    basis = SchubertBasis(5, 19)
+    assert [basis.w1_rank(j) for j in range(basis.top + 1)] == monk_ranks(5, 19)
+    assert 0 < memo.bytes <= memo.limit
+    assert memo.bytes == sum(map(schubert._bytes, memo.kernels.values()))
+    assert (6, 5, 1) not in memo.kernels  # the first kernel built, of the 5 x 1 box
+
+
+def test_evicted_chains_are_rebuilt_alike(monkeypatch):
+    # kernels and image tests read whole chains; with a memo that keeps
+    # almost nothing they rebuild what left and answer as with a full memo
+    rng = random.Random(7)
+    full = SchubertBasis(4, 8)
+    degrees = range(full.top + 1)
+    samples = [
+        [rng.getrandbits(full.dim(j)) for _ in range(4)]
+        + [full.times_w(rng.getrandbits(full.dim(j - 1)), j - 1, 1) for _ in range(4)]
+        for j in degrees
+    ]
+    want = [full.kernel(j) for j in degrees]
+    want_image = [[full.in_image(v, j) for v in samples[j]] for j in degrees]
+    monkeypatch.setattr(schubert, "_KERNELS", schubert._Memo(limit=1 << 10))
+    tight = SchubertBasis(4, 8)
+    assert [tight.kernel(j) for j in degrees] == want
+    assert [[tight.in_image(v, j) for v in samples[j]] for j in degrees] == want_image
+    assert {True, False} <= {answer for answers in want_image for answer in answers}
