@@ -302,19 +302,21 @@ def _split_kernel(
     over_cells = [0] * width
     leads: dict[int, int] = {}
     if size:
-        columns = dict(enumerate(quotient.cells))
-        for p in range(len(quotient.cells) - 1, -1, -1):
-            col = columns.pop(p, 0)
+        columns = list(quotient.cells)
+        for p in range(len(columns) - 1, -1, -1):
+            col = columns[p]
             if not col:
                 continue
             b = p + width + 1
             if b in plain:
                 cell, image = plain[b]
-                image = image[:-1]
                 over_cells[cell] ^= col
+                for q in image[:-1]:
+                    columns[q] ^= col
             elif b in pivots:
                 row = pivots[b]
-                image = _ones(row >> width ^ 1 << p)
+                for q in _ones(row >> width ^ 1 << p):
+                    columns[q] ^= col
                 for t in _ones(row & ((1 << width) - 1)):
                     over_cells[t] ^= col
             else:
@@ -327,19 +329,17 @@ def _split_kernel(
                         if condition >> lead & 1:
                             leads[other] = condition ^ col
                     leads[lead] = col
-                continue
-            for q in image:
-                columns[q] = columns.get(q, 0) ^ col
         if leads:
-            change = _basis_change(size, leads)
-            over_quotient = [change(x) for x in over_quotient]
+            over_quotient, change = _basis_change(size, leads)
             over_cells = [change(x) for x in over_cells]
             size -= len(leads)
     if tags:
-        # the pairs (0, w) as columns, by transposing their bit strings
-        strings = [f"{tag:0{width}b}" for tag in reversed(tags)]
-        added = [int("".join(bits), 2) for bits in zip(*strings)]
-        over_cells = [o | a << size for o, a in zip(over_cells, reversed(added))]
+        # the pairs (0, w) as columns: bit x of every tag, read as one
+        # string with a stride
+        bits = "".join([f"{tag:0{width}b}" for tag in reversed(tags)])
+        over_cells = [
+            o | int(bits[width - 1 - t :: width], 2) << size for t, o in enumerate(over_cells)
+        ]
         size += len(tags)
     return _Kernel(size, tuple(over_quotient), tuple(over_cells))
 
@@ -354,8 +354,9 @@ def _row(cell: int, targets: list[int], width: int) -> int:
 
 
 def _basis_change(size: int, leads: dict[int, int]):
-    """The map from columns over `size` vectors to columns over a basis of
-    the combinations a with <a, c> = 0 for every condition c in `leads`.
+    """The images of the unit columns, and the map from columns over `size`
+    vectors to columns over a basis of the combinations a with <a, c> = 0
+    for every condition c in `leads`.
 
     The conditions are reduced: condition l has bit l and no other lead's
     bit.  The basis is e_s + (e_l for each lead l whose condition has bit
@@ -386,7 +387,7 @@ def _basis_change(size: int, leads: dict[int, int]):
                 out ^= table[byte]
         return out
 
-    return change
+    return image, change
 
 
 class SchubertBasis:
