@@ -334,8 +334,8 @@ def _split_kernel(
             over_cells = [change(x) for x in over_cells]
             size -= len(leads)
     if tags:
-        # the pairs (0, w) as columns: bit x of every tag, read as one
-        # string with a stride
+        # the pairs (0, w) as columns: the bit of cell t in every tag, read
+        # from one string with a stride
         bits = "".join([f"{tag:0{width}b}" for tag in reversed(tags)])
         over_cells = [
             o | int(bits[width - 1 - t :: width], 2) << size for t, o in enumerate(over_cells)
