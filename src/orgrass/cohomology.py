@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from .duals import dual_table
 from .gf2poly import (
     Exponents,
     Poly,
@@ -173,6 +172,8 @@ class GrassmannCohomology:
     def _iter_ideal_rows(self, j: int, index: dict[Exponents, int]):
         k = self.ctx.k
         if self._gen_terms is None:
+            from .duals import dual_table  # only the presentation needs the dual classes
+
             table = dual_table(k)
             table.ensure(self.ctx.n)
             self._gen_terms = {
@@ -313,7 +314,14 @@ class GrassmannCohomology:
         ctx = self.ctx
         d = ctx.d
         dims = [self.schubert.dim(j) for j in range(d + 1)]
-        ranks = [self.w1_rank(j) for j in range(d + 1)]  # ranks[d] is 0: H^{d+1} vanishes
+        # Under the Poincare duality pairing of H^j with H^{d-j}, cup with w1
+        # out of degree j is the transpose of cup with w1 out of degree
+        # d-1-j, since <w1 x, y> = <x, w1 y> (`SchubertBasis.in_image` uses
+        # the same fact).  So rank_j = rank_{d-1-j}, and only the lower half
+        # is computed.  ranks[d] is 0: H^{d+1} vanishes.
+        ranks = [0] * (d + 1)
+        for j in range((d + 1) // 2):
+            ranks[j] = ranks[d - 1 - j] = self.w1_rank(j)
         rows = []
         r_first = d + 1
         for j in range(d + 1):
@@ -360,7 +368,7 @@ class GysinReport:
             "n": self.context.n,
             "k": self.context.k,
             "d": self.context.d,
-            "strategy": "direct",  # every degree is computed; kept for the format
+            "strategy": "direct",  # a fixed value, kept for the format
             "r_first_nonzero": self.r_first_nonzero,
             "total_dim_base": self.total_dim_base,
             "total_dim_cover": self.total_dim_cover,

@@ -7,6 +7,9 @@ import pytest
 
 import orgrass
 import orgrass.cli
+import orgrass.duals
+import orgrass.rank_cup
+import orgrass.suites
 from orgrass.cli import main
 
 
@@ -259,10 +262,109 @@ def test_unexpected_error_exits_without_traceback(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(orgrass.cli, "scan_vanishing", broken)
+    # each command looks its engine function up in the engine module when it runs
+    monkeypatch.setattr(orgrass.duals, "scan_vanishing", broken)
     code, out, err = run(capsys, "scan", "--k", "3", "--kill", "1", "--lo", "2", "--hi", "10")
     assert code == 1
     assert err == "error: RuntimeError: boom\n"
+
+
+def test_inconsistency_exits_1_with_its_message(capsys, monkeypatch):
+    def inconsistent(*args, **kwargs):
+        raise orgrass.rank_cup.InconsistencyError("ranks disagree")
+
+    monkeypatch.setattr(orgrass.rank_cup, "cup_report", inconsistent)
+    code, out, err = run(capsys, "cup", "--n", "8", "--k", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: ranks disagree\n"
+
+
+def test_suite_choices_are_the_suites():
+    assert list(orgrass.cli.SUITE_NAMES) == sorted(orgrass.suites.SUITES)
+
+
+def test_bad_suite_name_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "nonesuch"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+IMPORTS = """
+import json, sys
+from orgrass.cli import main
+loaded = []
+for argv in {commands!r}:
+    assert main(argv) == 0
+    loaded.append(sorted(m for m in sys.modules if m.startswith("orgrass.")))
+print(json.dumps(loaded))
+"""
+
+
+def _loaded_after(*commands):
+    """The orgrass submodules loaded after each command, run in turn in a
+    fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orgrass.__file__)))
+    script = IMPORTS.format(commands=[list(c) for c in commands])
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [set(mods) for mods in json.loads(proc.stdout.splitlines()[-1])]
+
+
+def test_commands_load_only_their_modules():
+    duals = {"orgrass.cli", "orgrass.duals", "orgrass.gf2poly"}
+    for argv in (
+        ("dual", "--k", "3", "--i", "3"),
+        ("g", "--k", "3", "--i", "6"),
+        ("scan", "--k", "3", "--kill", "1", "--lo", "2", "--hi", "20"),
+    ):
+        assert _loaded_after(argv) == [duals]
+    betti, charrank, cup, verify = _loaded_after(
+        ("betti", "--n", "8", "--k", "3", "--json"),
+        ("charrank", "--n", "8", "--k", "3"),
+        ("cup", "--n", "8", "--k", "3"),
+        ("verify", "--suite", "points"),
+    )
+    assert betti == {"orgrass.cli", "orgrass.cohomology", "orgrass.gf2poly", "orgrass.schubert"}
+    assert charrank == cup == betti | {"orgrass.rank_cup"}
+    assert verify == cup | {"orgrass.duals", "orgrass.suites"}
+
+
+PACKAGE = """
+import sys
+import orgrass
+names = {}
+exec("from orgrass import *", names)
+assert set(orgrass.__all__) <= set(names), set(orgrass.__all__) - set(names)
+assert set(orgrass.__all__) <= set(dir(orgrass))
+try:
+    orgrass.no_such_name
+except AttributeError:
+    pass
+else:
+    raise SystemExit("an unknown attribute must raise AttributeError")
+print("ok")
+"""
+
+
+def test_package_names_resolve_on_first_use():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(orgrass.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", PACKAGE],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_closed_stdout_exits_without_traceback():

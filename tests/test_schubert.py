@@ -220,6 +220,23 @@ def test_wrong_monk_rule_fails_suite_rows(monkeypatch):
     assert any(not r.ok for r in rows)
 
 
+def test_wrong_monk_rule_fails_every_small_gysin_row(monkeypatch):
+    # the report mirrors the ranks of its upper half, so its cover dims are
+    # symmetric under any rule; the row must still fail through its direct ranks
+    _drop_last_row_box(monkeypatch)
+    rows = suite_gysin(n_max=16)
+    assert len(rows) == 27
+    assert not [r.name for r in rows if r.ok]
+    assert all("dualityG~=FAIL" in r.detail for r in rows)
+
+
+def test_report_ranks_equal_direct_ranks_on_the_grid():
+    for n, k in full_grid():
+        engine = GrassmannCohomology(GrassmannContext(n, k))
+        ranks = [row.w1_rank for row in engine.report().rows]
+        assert ranks == [engine.w1_rank(j) for j in range(engine.ctx.d + 1)], (n, k)
+
+
 def test_cup_exact_row_reports_inconsistency_as_failure(monkeypatch):
     _drop_last_row_box(monkeypatch)
     rows = suite_cup(ts=(3,), n_max3=8, n_max4=8)
