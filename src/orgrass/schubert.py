@@ -48,8 +48,10 @@ Images are answered by duality.  Matching each cell with its n-bit
 reversal, the cell of the complementary partition, makes the Monk matrix
 from degree d-j the transpose of the one into degree j (d = k(n-k)), so v
 is a multiple of w1 exactly when its reversal pairs to 0 with every vector
-of ker_{d-j}; a pullback test in a low degree reads only the small kernels
-near the top.
+of ker_{d-j}.  A pullback test therefore reverses its class and pairs it
+with the vectors of `kernel(d-j)`, the one place where the memoised kernels
+become classes; in a low degree it reads only the small kernels near the
+top.
 """
 
 from __future__ import annotations
@@ -171,9 +173,6 @@ class _Memo:
         self.limit = limit
         self.bytes = 0
 
-    def get(self, key: tuple[int, int, int]) -> _Kernel | None:
-        return self.kernels.get(key)
-
     def add(self, key: tuple[int, int, int], kernel: _Kernel) -> _Kernel:
         kernels = self.kernels
         kernels[key] = kernel
@@ -207,29 +206,12 @@ def _kernel(rows: int, cols: int, j: int, blocks: dict) -> _Kernel:
     memo = _KERNELS
     missing = []
     c = cols
-    while (kernel := _base(rows, c, j) or memo.get((rows + c, rows, j))) is None:
+    while (kernel := _base(rows, c, j) or memo.kernels.get((rows + c, rows, j))) is None:
         missing.append(c)
         c -= 1
     for c in reversed(missing):
         kernel = memo.add((rows + c, rows, j), _split_kernel(rows, c, j, kernel, blocks))
     return kernel
-
-
-def _chain(rows: int, cols: int, j: int, blocks: dict) -> list[tuple[int, _Kernel]]:
-    """(c, kernel of rows x c in degree j) for c = cols, cols-1, ... down to
-    where the recursion stops, building the ones the memo lacks."""
-    memo = _KERNELS
-    found = []
-    c = cols
-    while (base := _base(rows, c, j)) is None:
-        found.append((c, memo.get((rows + c, rows, j))))
-        c -= 1
-    out = [(c, base)]
-    for c, kernel in reversed(found):
-        if kernel is None:
-            kernel = memo.add((rows + c, rows, j), _split_kernel(rows, c, j, out[-1][1], blocks))
-        out.append((c, kernel))
-    return out[::-1]
 
 
 def _block_cells(blocks: dict, rows: int, cols: int, j: int) -> list[int]:
@@ -441,10 +423,17 @@ class SchubertBasis:
 
     def kernel(self, j: int) -> tuple[int, ...]:
         """A basis of the kernel of cup product with w1 on degree j, as
-        classes of degree j."""
-        chain = _chain(self.rows, self.cols, j, self._blocks)
-        vectors = [1] * chain[-1][1].size
-        for c, kernel in reversed(chain[:-1]):
+        classes of degree j.  Each box's memoised kernel is given in terms
+        of the box one column narrower, so the classes are built upwards,
+        from the box rows x c where the recursion stops to rows x cols;
+        outside the degrees of the box that is rows x cols itself."""
+        rows, cols = self.rows, self.cols
+        c = cols
+        while (base := _base(rows, c, j)) is None:
+            c -= 1
+        vectors = [1] * base.size
+        for c in range(c + 1, cols + 1):
+            kernel = _kernel(rows, c, j, self._blocks)
             offset = self._offset(c, j)
             out = [0] * kernel.size
             for s, col in enumerate(kernel.quotient):
@@ -469,6 +458,15 @@ class SchubertBasis:
         degree top-j when each cell is matched with its n-bit reversal, the
         cell of the complementary partition; so v is a multiple of w1
         exactly when its reversal pairs to zero with all of kernel(top-j).
+
+        On G(4,2), degree 2 is self-dual, and w1^2 = sigma(2) + sigma(1,1)
+        spans the kernel there; it is a multiple of w1:
+
+        >>> basis = SchubertBasis(2, 2)
+        >>> basis.kernel(2)
+        (3,)
+        >>> basis.in_image(3, 2)
+        True
         """
         if not 0 < j <= self.top:
             return not v
@@ -478,23 +476,7 @@ class SchubertBasis:
         u = 0
         for b in _ones(v):
             u |= 1 << index[_reverse(cells[b], self.n)]
-        # pair u with the chain's kernels, from the smallest box up: bit b
-        # of `pairing` is the pairing with basis vector b
-        chain = _chain(self.rows, self.cols, dual, self._blocks)
-        parts = []
-        for c, _ in chain[:-1]:
-            offset = self._offset(c, dual)
-            parts.append(u >> offset)
-            u &= (1 << offset) - 1
-        pairing = u if chain[-1][1].size else 0
-        for (_, kernel), w in zip(reversed(chain[:-1]), reversed(parts)):
-            out = 0
-            for s in _ones(pairing):
-                out ^= kernel.quotient[s]
-            for t in _ones(w):
-                out ^= kernel.cells[t]
-            pairing = out
-        return not pairing
+        return not any((u & z).bit_count() & 1 for z in self.kernel(dual))
 
     def expand(self, e: Exponents) -> int:
         """The monomial prod w_i^e_i as a class of degree sum i*e_i.

@@ -66,13 +66,30 @@ def box_partitions_by_degree(rows: int, cols: int) -> list[list[tuple[int, ...]]
     return by_degree
 
 
-def monk_ranks(rows: int, cols: int) -> list[int]:
-    """Rank over GF(2) of Monk's rule from degree j to j+1, for every j.
+def _monk_pivots(rows: int, cols: int, sources, column) -> dict[int, int]:
+    """The Monk rows of the partitions `sources` over the targets `column`
+    (partition -> bit), eliminated on the lowest set bit: row lam has a 1 at
+    every partition mu in the box obtained by adding one box to lam."""
+    pivots: dict[int, int] = {}
+    for lam in sources:
+        v = 0
+        for r in range(rows):
+            if lam[r] < (cols if r == 0 else lam[r - 1]):
+                v |= 1 << column[lam[:r] + (lam[r] + 1,) + lam[r + 1 :]]
+        v = _reduce(v, pivots)
+        if v:
+            pivots[v & -v] = v
+    return pivots
 
-    Row lam of the matrix has a 1 at every partition mu in the box obtained
-    by adding one box to lam; the rank is taken by plain elimination on
-    the lowest set bit.
-    """
+
+def _reduce(v: int, pivots: dict[int, int]) -> int:
+    while v and (v & -v) in pivots:
+        v ^= pivots[v & -v]
+    return v
+
+
+def monk_ranks(rows: int, cols: int) -> list[int]:
+    """Rank over GF(2) of Monk's rule from degree j to j+1, for every j."""
     by_degree = box_partitions_by_degree(rows, cols)
     ranks = []
     for j, parts in enumerate(by_degree):
@@ -80,20 +97,23 @@ def monk_ranks(rows: int, cols: int) -> list[int]:
             ranks.append(0)
             break
         column = {mu: c for c, mu in enumerate(by_degree[j + 1])}
-        pivots: dict[int, int] = {}
-        for lam in parts:
-            v = 0
-            for r in range(rows):
-                if lam[r] < (cols if r == 0 else lam[r - 1]):
-                    v |= 1 << column[lam[:r] + (lam[r] + 1,) + lam[r + 1 :]]
-            while v:
-                low = v & -v
-                if low not in pivots:
-                    pivots[low] = v
-                    break
-                v ^= pivots[low]
-        ranks.append(len(pivots))
+        ranks.append(len(_monk_pivots(rows, cols, parts, column)))
     return ranks
+
+
+def monk_multiples(rows: int, cols: int, samples: list[list[set]]) -> list[list[bool]]:
+    """Whether each class of samples[j], the sum of a set of partitions of j
+    in the box, is a multiple of w1: whether it lies in the span of the
+    Monk rows from degree j-1."""
+    by_degree = box_partitions_by_degree(rows, cols)
+    out = []
+    for j, classes in enumerate(samples):
+        column = {mu: c for c, mu in enumerate(by_degree[j])}
+        pivots = _monk_pivots(rows, cols, by_degree[j - 1] if j else [], column)
+        out.append(
+            [not _reduce(sum(1 << column[mu] for mu in parts), pivots) for parts in classes]
+        )
+    return out
 
 
 def truncated_geometric_inverse(k: int, degree: int) -> Poly:

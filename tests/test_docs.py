@@ -4,6 +4,7 @@ import doctest
 import os
 
 import orgrass.gf2poly
+import orgrass.schubert
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -16,5 +17,11 @@ def test_readme_examples():
 
 def test_gf2poly_docstring_examples():
     result = doctest.testmod(orgrass.gf2poly)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+def test_schubert_docstring_examples():
+    result = doctest.testmod(orgrass.schubert)
     assert result.attempted > 0
     assert result.failed == 0

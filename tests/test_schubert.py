@@ -11,7 +11,7 @@ from itertools import combinations, product
 
 import pytest
 
-from oracles import box_partitions_by_degree, monk_ranks
+from oracles import box_partitions_by_degree, monk_multiples, monk_ranks
 from orgrass import GrassmannCohomology, GrassmannContext, Poly, enumerate_monomials, schubert
 from orgrass.schubert import SchubertBasis
 from orgrass.suites import full_grid, suite_charrank, suite_cup, suite_gysin, suite_topdie
@@ -297,3 +297,48 @@ def test_evicted_chains_are_rebuilt_alike(monkeypatch):
     assert [tight.kernel(j) for j in degrees] == want
     assert [[tight.in_image(v, j) for v in samples[j]] for j in degrees] == want_image
     assert {True, False} <= {answer for answers in want_image for answer in answers}
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 6), (2, 2), (3, 5), (4, 4)])
+def test_kernel_and_image_outside_the_degrees(rows, cols):
+    basis = SchubertBasis(rows, cols)
+    top = basis.top
+    assert basis.kernel(-1) == basis.kernel(top + 1) == ()
+    assert basis.in_image(0, 0) and not basis.in_image(1, 0)
+    assert basis.in_image(0, top + 1) and not basis.in_image(1, top + 1)
+
+
+def _image_answers(rows, cols):
+    """in_image and the oracle's Monk-row membership on random classes and
+    w1-multiples of every degree: (mismatches, the answers that occurred)."""
+    rng = random.Random(rows * 100 + cols)
+    basis = SchubertBasis(rows, cols)
+    samples = []
+    for j in range(basis.top + 1):
+        vs = [rng.getrandbits(basis.dim(j)) for _ in range(4)]
+        if j:
+            vs += [basis.times_w(rng.getrandbits(basis.dim(j - 1)), j - 1, 1) for _ in range(4)]
+        samples.append(vs)
+    parts = [[_partition(w) for w in basis.cells(j)] for j in range(basis.top + 1)]
+    as_partitions = [
+        [{parts[j][b] for b in range(basis.dim(j)) if v >> b & 1} for v in vs]
+        for j, vs in enumerate(samples)
+    ]
+    want = monk_multiples(rows, cols, as_partitions)
+    got = [[basis.in_image(v, j) for v in vs] for j, vs in enumerate(samples)]
+    mismatches = sum(g != w for gs, ws in zip(got, want) for g, w in zip(gs, ws))
+    return mismatches, {answer for answers in want for answer in answers}
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 6), (3, 5), (4, 12), (5, 15)])
+def test_in_image_matches_monk_oracle_beyond_presentation(rows, cols):
+    # G(16,4) and G(20,5) in every degree, plus a one-row and a three-row box
+    mismatches, answers = _image_answers(rows, cols)
+    assert mismatches == 0
+    assert answers == {True, False}
+
+
+def test_wrong_monk_rule_fails_image_oracle(monkeypatch):
+    _drop_last_row_box(monkeypatch)
+    mismatches, _ = _image_answers(4, 12)
+    assert mismatches > 0
