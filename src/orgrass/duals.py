@@ -12,23 +12,29 @@ variable subset obeys the same recurrence restricted to the surviving
 variables s0 < s1 < s2 < ....
 
 One packed kernel, `_Kernel`, runs that recurrence for every route: the
-full table (nothing killed, so s0 = w1 and s1 = w2), `scan_vanishing`,
-`reduced_dual_classes` (and so `g` and `reduced_dual_class`) and
-`verify_iterated_recurrence_batch`.  It stores a degree-i class as a dict
-`key -> int bitmask`:
+full table, `scan_vanishing`, `reduced_dual_classes` (and so `g` and
+`reduced_dual_class`) and `verify_iterated_recurrence_batch`.  It stores a
+degree-i class as a dict `key -> int bitmask`:
 
 * s0 is implicit: its exponent is fixed by the degree, so multiplying by
   w_{s0} leaves a term's packed form unchanged;
-* s1 is the dense axis: its exponent is the bit position in the mask, so
-  multiplying by w_{s1} is `mask << 1`, one word operation for a whole row
-  of monomials;
-* s2 onwards are packed into the key, one fixed-width field each, so
-  multiplying by w_m adds a constant to the key.
+* the dense axis is w_{2*s0} if that variable survives, else s1: its
+  exponent is the bit position in the mask, so multiplying by it is
+  `mask << 1`, one word operation for a whole row of monomials;
+* every other survivor is packed into the key, in ascending order, one
+  fixed-width field each, so multiplying by w_m adds a constant to the key.
+
+The pair (w_{s0}, w_{2*s0}) follows the digit rule (a term survives exactly
+when its exponents' binary digits are disjoint): w_{s0}^a * w_{2*s0}^b
+spends s0*(a + 2b) of the degree, so for fixed keyed exponents many (a, b)
+with disjoint digits survive, and one key gathers more terms than with
+s1 as the dense axis.  Nothing killed gives (w1, w2) by either rule; mod
+w1 it is (w2, w4) for k >= 4 and (w2, w3) for k = 3.
 
 Field widths come from a degree bound: no exponent of w_m in degree <= hi
-exceeds hi // m, so no field can overflow, and the kernel refuses degrees
-past its bound.  Exponent tuples, and so `Poly` objects, are built only
-for the degrees a caller asks to see.
+exceeds hi // m, and the smallest keyed m sets the width, so no field can
+overflow, and the kernel refuses degrees past its bound.  Exponent tuples,
+and so `Poly` objects, are built only for the degrees a caller asks to see.
 
 Iterating the recurrence s times through the Frobenius gives
 
@@ -36,7 +42,8 @@ Iterating the recurrence s times through the Frobenius gives
 
 for the mod-w1 reductions g, valid whenever i >= 1 + k*2^s;
 `verify_iterated_recurrence_batch` checks it on the packed classes, where
-w_m^(2^s) is a shift by 2^s or a key offset.
+w2^(2^s) leaves a term's packed form unchanged (w2 is implicit), and any
+other w_m^(2^s) is a shift by 2^s on the dense axis or a key offset.
 
 Full dual classes are memoized in a `DualTable`, which keeps the packed
 class of every degree it has reached and builds a degree's `Poly` only
@@ -75,14 +82,23 @@ __all__ = [
     "save_cache",
 ]
 
-# a packed homogeneous class: key (exponents of s2, s3, ...) -> mask over s1
+# a packed homogeneous class: key (keyed exponents) -> mask over the dense axis
 State = dict[int, int]
 
 
 class _Kernel:
-    """The dual recurrence over the surviving variables, on packed states."""
+    """The dual recurrence over the surviving variables, on packed states.
 
-    __slots__ = ("k", "survivors", "hi", "width", "_units")
+    The implicit axis is s0.  The dense axis is w_{2*s0} when that variable
+    survives, else s1; every other survivor is a keyed field, in ascending
+    order.  The digit rule is why w_{2*s0} is the better partner: a term
+    w_{s0}^a * w_{2*s0}^b spends s0*(a + 2b) of the degree, and a and b
+    need only disjoint binary digits, so for fixed keyed exponents many
+    (a, b) survive and one key gathers more terms.  With nothing killed
+    the pair is (w1, w2) either way.
+    """
+
+    __slots__ = ("k", "survivors", "implicit", "dense", "hi", "width", "_units")
 
     def __init__(self, k: int, killed: frozenset[int], hi: int):
         if k < 1:
@@ -92,9 +108,15 @@ class _Kernel:
         if hi < 0:
             raise ValueError("degree bound must be non-negative")
         self.k = k
-        self.survivors = tuple(m for m in range(1, k + 1) if m not in killed)
+        surv = self.survivors = tuple(m for m in range(1, k + 1) if m not in killed)
         self.hi = hi
-        keyed = self.survivors[2:]
+        # variables are numbered from 1, so 0 stands for an absent axis
+        self.implicit = surv[0] if surv else 0
+        if 2 * self.implicit in surv:
+            self.dense = 2 * self.implicit
+        else:
+            self.dense = surv[1] if len(surv) > 1 else 0
+        keyed = [m for m in surv[1:] if m != self.dense]
         # the smallest keyed variable has the largest exponents: at most hi // m
         self.width = (hi // keyed[0]).bit_length() if keyed else 0
         self._units = {m: 1 << (self.width * idx) for idx, m in enumerate(keyed)}
@@ -106,6 +128,7 @@ class _Kernel:
         if i == 0:
             return {0: 1}
         acc: State = {}
+        # ascending, so the implicit axis comes first and can copy into acc
         for m in self.survivors:
             if m > i:
                 break
@@ -116,33 +139,37 @@ class _Kernel:
 
     def add_product(self, acc: State, m: int, e: int, state: State) -> None:
         """acc += w_m^e * state, in place; acc must not be state."""
-        surv = self.survivors
-        if m == surv[0]:
+        get = acc.get
+        if m == self.implicit:
             if not acc:
                 acc.update(state)
                 return
-            moved = state.items()
-        elif m == surv[1]:
-            moved = [(key, v << e) for key, v in state.items()]
+            for key, v in state.items():
+                x = get(key, 0) ^ v
+                if x:
+                    acc[key] = x
+                else:
+                    del acc[key]
+        elif m == self.dense:
+            for key, v in state.items():
+                x = get(key, 0) ^ (v << e)
+                if x:
+                    acc[key] = x
+                else:
+                    del acc[key]
         else:
             off = e * self._units[m]
-            moved = [(key + off, v) for key, v in state.items()]
-        get = acc.get
-        for key, v in moved:
-            w = get(key)
-            if w is None:
-                acc[key] = v
-            elif w != v:
-                acc[key] = w ^ v
-            else:
-                del acc[key]
+            for key, v in state.items():
+                key += off
+                x = get(key, 0) ^ v
+                if x:
+                    acc[key] = x
+                else:
+                    del acc[key]
 
     def poly(self, i: int, state: State) -> Poly:
         """The degree-i class `state` as a polynomial over w1..wk."""
-        surv = self.survivors
-        # variables are numbered from 1, so 0 stands for an absent axis
-        implicit = surv[0] if surv else 0
-        dense = surv[1] if len(surv) > 1 else 0
+        implicit, dense = self.implicit, self.dense
         field = (1 << self.width) - 1
         out: list[Exponents] = []
         e = [0] * self.k

@@ -148,13 +148,29 @@ def test_h_two_term_recursion():
         assert not lhs.is_zero
 
 
+# mod w1 at k >= 4 the dense axis is w4, so w4^(2^s) is a shift by 2^s
+DENSE_AXIS_CASES = [(5, 50, 1), (5, 61, 2), (5, 100, 3), (6, 40, 1), (6, 77, 2), (6, 130, 3)]
+
+
 def test_iterated_recurrence_examples():
-    assert verify_iterated_recurrence_batch([(3, 13, 1), (3, 7, 0), (4, 29, 2)]) == [True] * 3
+    cases = [(3, 13, 1), (3, 7, 0), (4, 29, 2)] + DENSE_AXIS_CASES
+    assert verify_iterated_recurrence_batch(cases) == [True] * len(cases)
 
 
 def test_iterated_recurrence_precondition():
     with pytest.raises(ValueError, match="1 \\+ k\\*2\\^s = 7"):
         verify_iterated_recurrence_batch([(3, 6, 1)])
+
+
+def test_dense_exponent_mutation_fails_the_batch(monkeypatch):
+    # a kernel that shifts by 1 on the dense axis whatever the exponent
+    original = duals._Kernel.add_product
+
+    def one_shift(self, acc, m, e, state):
+        original(self, acc, m, 1 if m == self.dense else e, state)
+
+    monkeypatch.setattr(duals._Kernel, "add_product", one_shift)
+    assert False in verify_iterated_recurrence_batch(DENSE_AXIS_CASES)
 
 
 def test_iterated_recurrence_batch_matches_single():
@@ -166,7 +182,14 @@ def test_iterated_recurrence_batch_matches_single():
 
 # -- packed kernel against the digit rule ---------------------------------
 
-KILL_SETS = (frozenset(), frozenset({1}), frozenset({2}), frozenset({1, 3}), frozenset({1, 2, 3}))
+KILL_SETS = (
+    frozenset(),
+    frozenset({1}),
+    frozenset({2}),
+    frozenset({1, 2}),
+    frozenset({1, 3}),
+    frozenset({1, 2, 3}),
+)
 SAMPLED = list(range(0, 65)) + [97, 128, 200, 255, 256, 300, 383, 448, 511, 512, 600]
 
 
@@ -182,23 +205,48 @@ def test_reduced_classes_match_digit_rule(k):
 
 
 def test_long_scans_match_digit_rule():
-    for k, hi in ((3, 4096), (4, 1024)):
+    for k, hi in ((3, 4096), (4, 1024), (5, 512), (6, 256)):
         want = tuple(i for i in range(2, hi + 1) if not digit_rule_terms(k, i, {1}))
         assert scan_vanishing(k, {1}, 2, hi).zero_degrees == want
 
 
+def test_axis_pair_rule():
+    # (implicit, dense, keyed): dense is w_{2*s0} when it survives, else s1
+    for k, killed, axes in (
+        (3, set(), (1, 2, [3])),
+        (3, {1}, (2, 3, [])),
+        (5, {1}, (2, 4, [3, 5])),
+        (6, {1, 2}, (3, 6, [4, 5])),
+        (6, {2}, (1, 3, [4, 5, 6])),
+        (3, {1, 2}, (3, 0, [])),
+        (3, {1, 2, 3}, (0, 0, [])),
+    ):
+        kernel = duals._Kernel(k, frozenset(killed), 100)
+        assert (kernel.implicit, kernel.dense, list(kernel._units)) == axes, (k, killed)
+
+
+def test_fields_hold_the_smallest_keyed_variable():
+    # mod w1 at k=5 the smallest keyed variable is w3, whose exponent
+    # reaches hi // 3; t = 128 needs one bit more than hi // 4 does
+    for t in (128, 255):
+        p = reduced_dual_class(5, 3 * t, {1})
+        assert (0, 0, t, 0, 0) in p.terms
+        assert p.terms == digit_rule_terms(5, 3 * t, {1})
+
+
 def test_dense_axis_mutation_is_caught(monkeypatch):
-    # a kernel that multiplies by w_{s1} as if it were the implicit w_{s0}
+    # a kernel that multiplies by the dense variable as if it were the implicit one
     original = duals._Kernel.add_product
 
     def no_shift(self, acc, m, e, state):
-        if len(self.survivors) > 1 and m == self.survivors[1]:
-            m = self.survivors[0]
+        if self.dense and m == self.dense:
+            m = self.implicit
         original(self, acc, m, e, state)
 
     monkeypatch.setattr(duals._Kernel, "add_product", no_shift)
     assert _oracle_mismatches(3, frozenset({1}), list(range(0, 65))) != []
     assert _oracle_mismatches(4, frozenset(), list(range(0, 65))) != []
+    assert _oracle_mismatches(5, frozenset({1}), list(range(0, 65))) != []
     rows = suite_vanishing(hi3=64, hi4=64, hi5=64, hi6=32)
     assert not all(row.ok for row in rows)
 
@@ -212,7 +260,17 @@ def test_no_one_or_two_survivors():
 
 
 def test_kept_values_render_as_reduced_full_class():
-    for k, killed in ((3, {1}), (4, {1, 2, 3}), (4, {2}), (5, {1, 3}), (3, {1, 2}), (3, {1, 2, 3}), (2, set())):
+    for k, killed in (
+        (3, {1}),
+        (4, {1, 2, 3}),
+        (4, {2}),
+        (5, {1}),
+        (5, {1, 3}),
+        (6, {1, 2}),
+        (3, {1, 2}),
+        (3, {1, 2, 3}),
+        (2, set()),
+    ):
         scan = scan_vanishing(k, killed, 0, 30, keep_values=True)
         for i in range(31):
             assert str(scan.values[i]) == str(dual_class(k, i).reduce_mod_vars(killed)), (k, killed, i)
