@@ -11,10 +11,26 @@ recurrence (it is evaluation at 0), so the reduction of dual_i modulo any
 variable subset obeys the same recurrence restricted to the surviving
 variables s0 < s1 < s2 < ....
 
-One packed kernel, `_Kernel`, runs that recurrence for every route: the
-full table, `scan_vanishing`, `reduced_dual_classes` (and so `g` and
-`reduced_dual_class`) and `verify_iterated_recurrence_batch`.  It stores a
-degree-i class as a dict `key -> int bitmask`:
+Where a reduced class vanishes needs no polynomials at all.  Write S for
+the surviving variables, W = 1 + sum_{m in S} w_m, g = 1/W and F for the
+map that squares every variable.  Over Z2, W^2 = F(W), so g = W * F(g),
+which in degree i reads
+
+    g_i = sum over m in {0} u S, m <= i, m = i (mod 2) of w_m * F(g_{(i-m)/2})
+
+with w_0 = 1.  Every exponent in the m-th summand is even except that of
+w_m, which is odd, so no two summands share a monomial; F and
+multiplication by w_m are injective.  Hence g_i = 0 exactly when every such
+g_{(i-m)/2} = 0 (the halving rule; g_0 = 1, and an empty condition means
+zero).  `scan_vanishing` takes its zero degrees from that rule, at O(k)
+byte operations per degree, and runs the kernel only for the values it is
+asked to keep, checking every degree's zero flag against them.
+
+One packed kernel, `_Kernel`, runs the recurrence for every class that is
+computed: the full table, the values `scan_vanishing` keeps,
+`reduced_dual_classes` (and so `g` and `reduced_dual_class`) and
+`verify_iterated_recurrence_batch`.  It stores a degree-i class as a dict
+`key -> int bitmask`:
 
 * s0 is implicit: its exponent is fixed by the degree, so multiplying by
   w_{s0} leaves a term's packed form unchanged;
@@ -60,6 +76,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .gf2poly import Exponents, Poly, parse_poly
@@ -335,6 +352,33 @@ class ReductionScan:
     values: Mapping[int, Poly] | None = None
 
 
+def _zero_flags(survivors: Sequence[int], hi: int) -> bytearray:
+    """flags[i] = 1 exactly when the reduced dual class of degree i is zero.
+
+    Over the survivors S, g = W * F(g), where W = 1 + sum_{m in S} w_m and F
+    squares every variable (over Z2, 1/W = W * (1/W)^2 and W^2 = F(W)).  In
+    degree i, g_i is the sum of w_m * F(g_{(i-m)/2}) over m in {0} u S with
+    m <= i and m = i (mod 2), where w_0 = 1.  In the m-th summand every
+    exponent is even except that of w_m, which is odd, so the summands
+    share no monomial, and F and multiplication by w_m are injective.  So
+    g_i = 0 exactly when every such g_{(i-m)/2} is 0.  Degree 0 is nonzero
+    (g_0 = 1), and a degree with no such m is zero.
+    """
+    # the m of each parity, ascending, so the first m > i ends the condition
+    parts = ([m for m in (0, *survivors) if m % 2 == 0], [m for m in survivors if m % 2])
+    flags = bytearray(hi + 1)
+    for i in range(1, hi + 1):
+        zero = 1
+        for m in parts[i & 1]:
+            if m > i:
+                break
+            if not flags[(i - m) >> 1]:
+                zero = 0
+                break
+        flags[i] = zero
+    return flags
+
+
 def scan_vanishing(
     k: int,
     killed: Iterable[int],
@@ -345,27 +389,39 @@ def scan_vanishing(
 ) -> ReductionScan:
     """List the degrees in [lo, hi] where the reduced dual class vanishes.
 
-    With keep_values=True the reduced polynomial of every scanned degree is
-    retained (memory grows with the range; meant for small windows).
+    The zero degrees come from the halving rule (`_zero_flags`), so a scan
+    computes no polynomial.  With keep_values=True the kernel also streams
+    every degree up to hi and the reduced polynomial of every scanned
+    degree is retained (memory grows with the range; meant for small
+    windows); a degree where the kernel's class and the rule disagree on
+    vanishing raises RuntimeError.
+
+    >>> scan_vanishing(3, {1}, 2, 100).zero_degrees
+    (5, 13, 29, 61)
     """
     killed = frozenset(killed)
     if lo < 0 or lo > hi:
         raise ValueError(f"bad degree range [{lo}, {hi}]")
     kernel = _Kernel(k, killed, hi)
-    zeros: list[int] = []
-    values: dict[int, Poly] | None = {} if keep_values else None
-    for i, state in kernel.series():
-        if i < lo:
-            continue
-        if not state:
-            zeros.append(i)
-        if values is not None:
-            values[i] = kernel.poly(i, state)
-        if progress is not None and i % 128 == 0:
+    flags = _zero_flags(kernel.survivors, hi)
+    values: dict[int, Poly] | None = None
+    if keep_values:
+        values = {}
+        for i, state in kernel.series():
+            if (not state) != flags[i]:
+                raise RuntimeError(
+                    f"degree {i}: the kernel's class is {'nonzero' if state else 'zero'}, "
+                    f"the halving rule says {'zero' if flags[i] else 'nonzero'}"
+                )
+            if i >= lo:
+                values[i] = kernel.poly(i, state)
+                if progress is not None and i % 128 == 0:
+                    progress(i)
+    elif progress is not None:
+        for i in range(-(-lo // 128) * 128, hi + 1, 128):
             progress(i)
-    return ReductionScan(
-        k=k, killed=killed, lo=lo, hi=hi, zero_degrees=tuple(zeros), values=values
-    )
+    zeros = tuple(compress(range(lo, hi + 1), flags[lo:]))
+    return ReductionScan(k=k, killed=killed, lo=lo, hi=hi, zero_degrees=zeros, values=values)
 
 
 def verify_iterated_recurrence_batch(

@@ -258,6 +258,14 @@ def test_verbose_only_on_scan(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("values", [(), ("--values",)])
+def test_verbose_scan_progress_lines(capsys, values):
+    # the same lines whether the kernel streams values or not
+    code, _, err = run(capsys, "scan", "--k", "3", "--kill", "1", "--lo", "100", "--hi", "520", "-v", *values)
+    assert code == 0
+    assert err == "".join(f"  ... scanned through degree {i}\n" for i in (128, 256, 384, 512))
+
+
 def test_unexpected_error_exits_without_traceback(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

@@ -3,6 +3,7 @@
 import doctest
 import os
 
+import orgrass.duals
 import orgrass.gf2poly
 import orgrass.schubert
 
@@ -11,6 +12,12 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 def test_readme_examples():
     result = doctest.testfile(README, module_relative=False)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+def test_duals_docstring_examples():
+    result = doctest.testmod(orgrass.duals)
     assert result.attempted > 0
     assert result.failed == 0
 

@@ -1,5 +1,6 @@
 import os
 import time
+from itertools import combinations
 
 import pytest
 
@@ -94,6 +95,55 @@ def test_scan_zero_sets():
     assert scan_vanishing(4, {1}, 2, 100).zero_degrees == (5, 13, 29, 61)
     assert scan_vanishing(5, {1}, 2, 100).zero_degrees == ()
     assert scan_vanishing(6, {1}, 2, 100).zero_degrees == ()
+
+
+def test_scan_zero_sets_under_a_rule_mutant(monkeypatch):
+    # the halving rule without its m = 0 summand, which even degrees need
+    def no_constant(survivors, hi):
+        flags = bytearray(hi + 1)
+        for i in range(1, hi + 1):
+            flags[i] = all(flags[(i - m) >> 1] for m in survivors if m <= i and m % 2 == i % 2)
+        return flags
+
+    monkeypatch.setattr(duals, "_zero_flags", no_constant)
+    with pytest.raises(AssertionError):
+        test_scan_zero_sets()
+    rows = suite_vanishing(hi3=64, hi4=64, hi5=64, hi6=32)
+    assert not all(row.ok for row in rows)
+
+
+def test_rule_matches_kernel_on_every_kill_set():
+    # keep_values streams the kernel beside the rule; both must give the same zeros
+    for k in range(1, 7):
+        hi = 120 if k < 6 else 80
+        for r in range(k + 1):
+            for killed in combinations(range(1, k + 1), r):
+                scan = scan_vanishing(k, killed, 0, hi, keep_values=True)
+                kernel_zeros = tuple(i for i, p in scan.values.items() if p.is_zero)
+                assert scan.zero_degrees == kernel_zeros, (k, killed)
+
+
+def test_kernel_mutant_raises_through_keep_values(monkeypatch):
+    # a kernel that multiplies by the dense variable as if it were the implicit one
+    original = duals._Kernel.add_product
+
+    def no_shift(self, acc, m, e, state):
+        if self.dense and m == self.dense:
+            m = self.implicit
+        original(self, acc, m, e, state)
+
+    monkeypatch.setattr(duals._Kernel, "add_product", no_shift)
+    for k in (3, 4, 5, 6):
+        want = (1, 5, 13, 29, 61) if k < 5 else (1,)
+        assert scan_vanishing(k, {1}, 0, 64).zero_degrees == want
+        with pytest.raises(RuntimeError, match="degree"):
+            scan_vanishing(k, {1}, 0, 64, keep_values=True)
+
+
+def test_scan_reach():
+    # 2^16 - 3 = 65533 is the last 2^t - 3 below 10^5
+    assert scan_vanishing(3, {1}, 2, 10**5).zero_degrees == tuple((1 << t) - 3 for t in range(3, 17))
+    assert scan_vanishing(6, {1}, 2, 10**5).zero_degrees == ()
 
 
 def test_scan_from_one_includes_trivial_zero():
@@ -208,6 +258,8 @@ def test_long_scans_match_digit_rule():
     for k, hi in ((3, 4096), (4, 1024), (5, 512), (6, 256)):
         want = tuple(i for i in range(2, hi + 1) if not digit_rule_terms(k, i, {1}))
         assert scan_vanishing(k, {1}, 2, hi).zero_degrees == want
+        kernel = duals._Kernel(k, frozenset({1}), hi)
+        assert tuple(i for i, state in kernel.series() if i >= 2 and not state) == want
 
 
 def test_axis_pair_rule():
